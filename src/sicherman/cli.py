@@ -48,9 +48,12 @@ def _search_cap() -> Optional[int]:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise UsageError(f"{SEARCH_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise UsageError(f"{SEARCH_CAP_ENV} must be positive, got {cap}")
+    return cap
 
 
 def _int_pair(text: str, flag: str) -> tuple[int, int]:

@@ -8,6 +8,12 @@ survives when both sides expand with nonnegative coefficients.  The same
 machinery handles mixed standard sizes and prescribed unequal face counts,
 since only the multiset of cyclotomic factors and the per-side face-count
 targets change.
+
+Since phi_d = prod over k | d of (1 - x^k)^mobius(d/k) for d > 1, every side
+is also x * prod((1 - x^k)^E_k) with net exponents E_k (`net_exponents`).
+Only k = 1 reaches x^1, so -E_1 is the side's linear coefficient; every
+enumeration skips a split with E_1 > 0 on either side before expanding it,
+and the cancelled series forms of the excluded splits are read off E.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .cyclotomic import CyclotomicCache, divisors, is_prime, prime_factors
+from .cyclotomic import CyclotomicCache, divisors, is_prime, mobius, prime_factors
 from .dice import Die, die_to_poly, poly_to_die
-from .polyint import IntPoly, X, one_minus_x_pow, truncated_series_product
+from .polyint import ONE, IntPoly, X, one_minus_x_pow, truncated_series_product
 
 DEFAULT_SEARCH_CAP = 10**6
 
@@ -36,7 +42,7 @@ class NotADivisor(SolverError):
 
 
 class UnsupportedShape(SolverError):
-    """The shortcut formulas only cover sizes p^2*q and p*q*r."""
+    """The paper's shortcuts and certificates only cover p^2*q and p*q*r."""
 
 
 class SearchCapExceeded(SolverError):
@@ -210,40 +216,49 @@ def _candidate_vectors(
         yield ExponentVector.from_dict(vec)
 
 
-def _vector_poly(vector: ExponentVector, cache: CyclotomicCache) -> IntPoly:
-    poly = X
+def _vector_poly(
+    vector: ExponentVector, cache: CyclotomicCache, start: IntPoly = X
+) -> IntPoly:
+    poly = start
     for d, c in vector.entries:
         if c:
             poly = poly * cache.get(d) ** c
     return poly
 
 
-def _enumerate(
-    problem: Problem,
-    *,
-    search_cap: Optional[int],
-    sign_prune: bool = False,
-) -> list[SolutionPair]:
+def net_exponents(vector: ExponentVector) -> dict[int, int]:
+    """Net exponents {k: E_k}, sorted by k and nonzero, of one side.
+
+    For d > 1, phi_d = prod over k | d of (1 - x^k)^mobius(d/k), so the side
+    x * prod(phi_d^c_d) equals x * prod((1 - x^k)^E_k) with
+    E_k = sum of c_d * mobius(d/k) over the divisors d that k divides.
+    """
+    net: dict[int, int] = {}
+    for d, c in vector.entries:
+        if d < 2:
+            raise ValueError(f"net exponents need divisors above 1, got {d}")
+        for k in divisors(d):
+            net[k] = net.get(k, 0) + c * mobius(d // k)
+    return {k: e for k, e in sorted(net.items()) if e}
+
+
+def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionPair]:
     cap = DEFAULT_SEARCH_CAP if search_cap is None else search_cap
     mults = _divisor_mults(problem)
     left_size, right_size = problem.face_counts
     freq = frequency_poly(problem)
     cache = CyclotomicCache()
     symmetric = left_size == right_size
+    # E_1 of a side is sum(c_d * mobius(d)); both sides' E_1 add up to total.
+    mu = {d: mobius(d) for d in mults}
+    total_e1 = sum(mults[d] * mu[d] for d in mults)
 
-    can_prune = (
-        sign_prune
-        and problem.kind == "equal"
-        and _shape_of(problem.sizes[0]) is not None
-    )
     found: dict[tuple, SolutionPair] = {}
     for vector in _candidate_vectors(mults, left_size, cap):
-        right_vector = vector.complement(mults)
-        if can_prune and (
-            one_minus_x_exponent(vector, problem) > 0
-            or one_minus_x_exponent(right_vector, problem) > 0
-        ):
+        left_e1 = sum(c * mu[d] for d, c in vector.entries)
+        if left_e1 > 0 or total_e1 - left_e1 > 0:
             continue
+        right_vector = vector.complement(mults)
         left_poly = _vector_poly(vector, cache)
         if not left_poly.is_nonnegative:
             continue
@@ -269,11 +284,11 @@ def enumerate_pairs(
     """All pairs of m-sided dice with standard sum frequencies.
 
     The standard pair is always included.  Pairs are unordered and come back
-    sorted by labels, smaller die first.  `sign_prune` skips splits whose
-    linear coefficient is provably negative; it changes nothing but speed
-    and only applies to sizes of shape p^2*q or p*q*r.
+    sorted by labels, smaller die first.  `sign_prune` is accepted and
+    ignored: every enumeration now skips splits whose linear coefficient
+    -E_1 is negative.
     """
-    return _enumerate(Problem.equal(m), search_cap=search_cap, sign_prune=sign_prune)
+    return _enumerate(Problem.equal(m), search_cap=search_cap)
 
 
 def enumerate_mixed(
@@ -352,40 +367,18 @@ def decomposition_die_labels(m: int, a: int) -> Die:
 # -- sign shortcut and exclusion certificates -------------------------------
 
 
-def _shape_of(m: int) -> Optional[str]:
-    exps = sorted(prime_factors(m).values())
-    if exps == [1, 2]:
-        return "p2q"
-    if exps == [1, 1, 1]:
-        return "pqr"
-    return None
-
-
 def one_minus_x_exponent(vector: ExponentVector, problem: Problem) -> int:
-    """Net exponent of (1-x) in the reduced product form of one side.
+    """Net exponent E_1 of (1-x) in the reduced product form of one side.
 
-    Writing each cyclotomic factor as a ratio of terms x^d - 1 contributes
-    mobius(d) copies of (1-x) per phi_d; the negated total is the linear
-    coefficient of the product, so a positive exponent certifies a negative
-    coefficient.  Only sizes p^2*q and p*q*r are supported.
+    The negated exponent is the linear coefficient of the product, so a
+    positive exponent certifies a negative coefficient.  The paper states
+    this shortcut for equal sizes p^2*q and p*q*r only, so other problems
+    raise UnsupportedShape.
     """
-    m = problem.sizes[0]
-    shape = _shape_of(m)
-    if shape is None or problem.kind != "equal":
+    shape = sorted(prime_factors(problem.sizes[0]).values())
+    if problem.kind != "equal" or shape not in ([1, 2], [1, 1, 1]):
         raise UnsupportedShape(f"no (1-x) shortcut for {problem}")
-    factors = prime_factors(m)
-    if shape == "p2q":
-        p = next(t for t, e in factors.items() if e == 2)
-        q = next(t for t, e in factors.items() if e == 1)
-        return vector[p * q] - vector[p] - 1
-    p, q, r = sorted(factors)
-    return (
-        vector[p * q]
-        + vector[p * r]
-        + vector[q * r]
-        - vector[p * q * r]
-        - 3
-    )
+    return net_exponents(vector).get(1, 0)
 
 
 # Splits that pass the per-prime face-count constraints but expand with a
@@ -394,30 +387,6 @@ def one_minus_x_exponent(vector: ExponentVector, problem: Problem) -> int:
 # (phi_pq, phi_pr, phi_qr, phi_pqr) with phi_p, phi_q, phi_r fixed at 1.
 EXCLUDED_P2Q = ((1, 1, 0, 2), (2, 0, 2, 2), (2, 0, 1, 2))
 EXCLUDED_PQR = ((0, 2, 2, 2), (0, 1, 2, 2), (2, 0, 0, 1), (1, 1, 1, 2))
-
-# Reduced series forms of the same products: (size key, exponent) pairs where
-# each factor is (1 - x^size)^exponent and negative exponents are expanded as
-# geometric series.  All shared factors have been cancelled.
-_SERIES_P2Q = {
-    (1, 1, 0, 2): (("q", 1), ("p", 2), ("p2q", 2), ("1", -2), ("p2", -1), ("pq", -2)),
-    (2, 0, 2, 2): (("p", 2), ("p2q", 2), ("1", -1), ("q", -1), ("p2", -2)),
-    (2, 0, 1, 2): (("p", 3), ("p2q", 2), ("1", -2), ("p2", -2), ("pq", -1)),
-}
-_SERIES_PQR = {
-    (0, 2, 2, 2): (("p", 1), ("q", 1), ("pqr", 2), ("1", -1), ("r", -1), ("pq", -2)),
-    (0, 1, 2, 2): (("p", 2), ("q", 1), ("pqr", 2), ("1", -2), ("pr", -1), ("pq", -2)),
-    (2, 0, 0, 1): (("r", 2), ("pq", 1), ("pqr", 1), ("1", -2), ("pr", -1), ("qr", -1)),
-    (1, 1, 1, 2): (
-        ("p", 1),
-        ("q", 1),
-        ("r", 1),
-        ("pqr", 2),
-        ("1", -2),
-        ("pq", -1),
-        ("pr", -1),
-        ("qr", -1),
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -444,21 +413,20 @@ def _check_primes(case: str, primes: Sequence[int]) -> tuple[int, ...]:
     return primes
 
 
-def _size_table(case: str, primes: Sequence[int]) -> dict[str, int]:
+def _case_vector(
+    case: str, primes: Sequence[int], vector: Sequence[int]
+) -> ExponentVector:
+    """The full exponent vector of one p^2*q or p*q*r split (see above)."""
+    primes = _check_primes(case, primes)
     if case == "p2q":
         p, q = primes
-        return {"1": 1, "p": p, "q": q, "p2": p * p, "pq": p * q, "p2q": p * p * q}
-    p, q, r = primes
-    return {
-        "1": 1,
-        "p": p,
-        "q": q,
-        "r": r,
-        "pq": p * q,
-        "pr": p * r,
-        "qr": q * r,
-        "pqr": p * q * r,
-    }
+        fixed, keys = (q,), (p, p * p, p * q, p * p * q)
+    else:
+        p, q, r = primes
+        fixed, keys = (p, q, r), (p * q, p * r, q * r, p * q * r)
+    return ExponentVector.from_dict(
+        {**dict.fromkeys(fixed, 1), **dict(zip(keys, vector))}
+    )
 
 
 def excluded_vectors(case: str) -> tuple[tuple[int, ...], ...]:
@@ -477,38 +445,20 @@ def candidate_product(
 ) -> IntPoly:
     """Direct cyclotomic expansion of one candidate split, without the
     leading x, so the constant term is 1."""
-    primes = _check_primes(case, primes)
-    cache = cache or CyclotomicCache()
-    sizes = _size_table(case, primes)
-    if case == "p2q":
-        fixed = ("q",)
-        keys = ("p", "p2", "pq", "p2q")
-    else:
-        fixed = ("p", "q", "r")
-        keys = ("pq", "pr", "qr", "pqr")
-    poly = IntPoly((1,))
-    for key in fixed:
-        poly = poly * cache.get(sizes[key])
-    for key, c in zip(keys, vector):
-        if c:
-            poly = poly * cache.get(sizes[key]) ** c
-    return poly
+    full = _case_vector(case, primes, vector)
+    return _vector_poly(full, cache or CyclotomicCache(), ONE)
 
 
 def reduced_series_form(
     case: str, primes: Sequence[int], vector: Sequence[int]
 ) -> list[tuple[IntPoly, int]]:
-    """The cancelled (1 - x^k)^e factor list for one excluded split."""
-    primes = _check_primes(case, primes)
-    table = _SERIES_P2Q if case == "p2q" else _SERIES_PQR
-    try:
-        form = table[tuple(vector)]
-    except KeyError:
+    """The cancelled (1 - x^k)^E_k factor list for one excluded split."""
+    full = _case_vector(case, primes, vector)
+    if tuple(vector) not in excluded_vectors(case):
         raise CertificateMissing(
-            f"no tabulated series form for {case} vector {tuple(vector)}"
-        ) from None
-    sizes = _size_table(case, primes)
-    return [(one_minus_x_pow(sizes[key]), e) for key, e in form]
+            f"{case} vector {tuple(vector)} is not an excluded split"
+        )
+    return [(one_minus_x_pow(k), e) for k, e in net_exponents(full).items()]
 
 
 def reduced_form_matches(

@@ -66,6 +66,11 @@ def test_search_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("SICHERMAN_SEARCH_CAP", "junk")
     code, _, err = run(capsys, "solve", "--sides", "30")
     assert code == 2
+    for raw in ("0", "-5"):
+        monkeypatch.setenv("SICHERMAN_SEARCH_CAP", raw)
+        code, out, err = run(capsys, "solve", "--sides", "1")
+        assert code == 2 and out == ""
+        assert "SICHERMAN_SEARCH_CAP must be positive" in err
 
 
 def test_mixed(capsys):

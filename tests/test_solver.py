@@ -2,9 +2,15 @@
 
 import pytest
 
-from sicherman.cyclotomic import divisors, mobius
+from sicherman.cyclotomic import CyclotomicCache, divisors, mobius
 from sicherman.dice import Die, die_to_poly, sum_histogram
-from sicherman.polyint import IntPoly, X, geometric
+from sicherman.polyint import (
+    IntPoly,
+    X,
+    geometric,
+    one_minus_x_pow,
+    truncated_series_product,
+)
 from sicherman.solver import (
     CertificateMissing,
     EXCLUDED_P2Q,
@@ -24,15 +30,45 @@ from sicherman.solver import (
     excluded_vectors,
     frequency_poly,
     negative_certificates,
+    net_exponents,
     one_minus_x_exponent,
     reduced_form_matches,
     reduced_series_form,
     solve,
     _candidate_vectors,
     _divisor_mults,
+    _vector_poly,
 )
 
 SICHERMAN = (Die.from_text("1,2,2,3,3,4"), Die.from_text("1,3,4,5,6,8"))
+
+# The paper's cancelled series forms of the excluded splits, as (k, e) pairs
+# for factors (1 - x^k)^e, with every shared factor cancelled.
+CANCELLED_FORMS = {
+    ("p2q", (2, 3)): {
+        (1, 1, 0, 2): ((3, 1), (2, 2), (12, 2), (1, -2), (4, -1), (6, -2)),
+        (2, 0, 2, 2): ((2, 2), (12, 2), (1, -1), (3, -1), (4, -2)),
+        (2, 0, 1, 2): ((2, 3), (12, 2), (1, -2), (4, -2), (6, -1)),
+    },
+    ("pqr", (2, 3, 5)): {
+        (0, 2, 2, 2): ((2, 1), (3, 1), (30, 2), (1, -1), (5, -1), (6, -2)),
+        (0, 1, 2, 2): ((2, 2), (3, 1), (30, 2), (1, -2), (10, -1), (6, -2)),
+        (2, 0, 0, 1): ((5, 2), (6, 1), (30, 1), (1, -2), (10, -1), (15, -1)),
+        (1, 1, 1, 2): (
+            (2, 1), (3, 1), (5, 1), (30, 2), (1, -2), (6, -1), (10, -1), (15, -1),
+        ),
+    },
+}
+
+NET_EXPONENT_PROBLEMS = {
+    "equal-12": Problem.equal(12),
+    "equal-30": Problem.equal(30),
+    "equal-36": Problem.equal(36),
+    "mixed-4-9": Problem.mixed(4, 9),
+    "mixed-5-6": Problem.mixed(5, 6),
+    "unequal-6-4x9": Problem.unequal_targets(6, 4, 9),
+    "unequal-12-8x18": Problem.unequal_targets(12, 8, 18),
+}
 
 
 def labels_of(pairs):
@@ -267,6 +303,30 @@ def test_positive_exponent_means_negative_coefficient():
                 assert not _vector_poly(vec, cache).is_nonnegative
 
 
+@pytest.mark.parametrize("name", NET_EXPONENT_PROBLEMS)
+def test_net_exponents_match_direct_expansion(name):
+    # x * prod(phi_d^c_d) == x * prod((1 - x^k)^E_k) on both sides of every
+    # candidate, and -E_1 is the linear coefficient, which makes the
+    # enumeration's E_1 > 0 skip exact for every problem kind
+    problem = NET_EXPONENT_PROBLEMS[name]
+    cache = CyclotomicCache()
+    mults = _divisor_mults(problem)
+    for vec in _candidate_vectors(mults, problem.face_counts[0], 10**6):
+        for side in (vec, vec.complement(mults)):
+            net = net_exponents(side)
+            body = IntPoly(_vector_poly(side, cache).coeffs[1:])
+            factors = [(one_minus_x_pow(k), e) for k, e in net.items()]
+            assert truncated_series_product(factors, body.degree) == body
+            assert body[1] == -net.get(1, 0)
+
+
+def test_net_exponents_of_phi():
+    assert net_exponents(ExponentVector.from_dict({6: 1})) == {1: 1, 2: -1, 3: -1, 6: 1}
+    assert net_exponents(ExponentVector.from_dict({2: 2, 4: 0})) == {1: -2, 2: 2}
+    with pytest.raises(ValueError):
+        net_exponents(ExponentVector.from_dict({1: 1}))
+
+
 def test_negative_certificates_p2q():
     certs = negative_certificates("p2q", (2, 3))
     got = {c.vector: (c.power, c.coefficient) for c in certs}
@@ -306,6 +366,14 @@ def test_reduced_series_forms_match_direct_expansion():
         assert reduced_form_matches("p2q", (3, 2), vec, 36)
     for vec in EXCLUDED_PQR:
         assert reduced_form_matches("pqr", (2, 3, 5), vec, 60)
+
+
+def test_reduced_series_form_is_the_cancelled_form():
+    for (case, primes), forms in CANCELLED_FORMS.items():
+        assert set(forms) == set(excluded_vectors(case))
+        for vector, form in forms.items():
+            want = [(one_minus_x_pow(k), e) for k, e in sorted(form)]
+            assert reduced_series_form(case, primes, vector) == want
 
 
 def test_reduced_series_form_unknown_vector():
