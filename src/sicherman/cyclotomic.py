@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .polyint import IntPoly, ONE, x_pow_minus_one
+from .polyint import IntPoly, ONE, one_minus_x_product, x_pow_minus_one
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -67,9 +67,8 @@ def euler_totient(n: int) -> int:
 class CyclotomicCache:
     """Memoized cyclotomic polynomials via the Mobius product.
 
-    phi_n is the product over divisors d of n of (x^d - 1)^mobius(n/d).
-    The positive-exponent factors are multiplied first and the negative ones
-    divided off one at a time; every intermediate quotient is exact.
+    phi_n is the product over divisors d of n of (x^d - 1)^mobius(n/d), and
+    for n > 1 the signs cancel, leaving (1 - x^d)^mobius(n/d).
     """
 
     def __init__(self):
@@ -80,18 +79,10 @@ class CyclotomicCache:
             raise ValueError("n must be a positive integer")
         phi = self._table.get(n)
         if phi is None:
-            num, den = [], []
-            for d in divisors(n):
-                mu = mobius(n // d)
-                if mu == 1:
-                    num.append(d)
-                elif mu == -1:
-                    den.append(d)
-            phi = ONE
-            for d in num:
-                phi = phi * x_pow_minus_one(d)
-            for d in den:
-                phi = phi.div_exact(x_pow_minus_one(d))
+            exponents = {d: mobius(n // d) for d in divisors(n)}
+            phi = one_minus_x_product(exponents, euler_totient(n))
+            if n == 1:
+                phi = -phi  # phi_1 = x - 1 = -(1 - x)
             if phi.degree != euler_totient(n):
                 raise AssertionError(f"phi_{n} has wrong degree {phi.degree}")
             if n >= 2 and phi.coeffs[-1] != 1:

@@ -64,6 +64,8 @@ def brute_force_pairs(
     max_label = cfg.max_label if cfg.max_label is not None else m + m2 - 1
     if max_label < 1:
         raise ValueError("max_label must be at least 1")
+    if cfg.max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {cfg.max_nodes}")
 
     top = 2 * max_label
     want = [0] * (top + 1)

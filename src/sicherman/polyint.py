@@ -2,9 +2,9 @@
 
 A polynomial is stored as a tuple of coefficients indexed by power, so
 ``(0, 1, 2)`` is ``x + 2x^2``.  The canonical form has no trailing zeros and
-the zero polynomial is the empty tuple.  All arithmetic is exact: Python
-integers never wrap, and the accelerated numpy convolution path is only taken
-when an a-priori bound proves the result fits in int64.
+the zero polynomial is the empty tuple.  All arithmetic is exact Python
+integer arithmetic: one convolution serves every product, and
+`one_minus_x_product` expands products of (1 - x^k)^e by stride recurrences.
 
 Values are immutable, so every operation is a pure function and instances are
 safe to share across threads.
@@ -12,12 +12,9 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
-
-# Headroom below 2^63 for the int64 convolution fast path.
-_INT64_SAFE = 1 << 62
+from itertools import accumulate
+from operator import add, sub
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class PolyError(Exception):
@@ -233,38 +230,40 @@ def geometric(n: int) -> IntPoly:
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
-    # L1 * Linf bounds every coefficient of the product; if that fits in
-    # int64 the numpy path is exact.
-    bound = min(
-        sum(abs(c) for c in a) * max(abs(c) for c in b),
-        sum(abs(c) for c in b) * max(abs(c) for c in a),
-    )
-    if bound < _INT64_SAFE:
-        return np.convolve(
-            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        ).tolist()
     if len(a) > len(b):
         a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
     for i, c in enumerate(a):
         if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
+            row = b if c == 1 else [c * d for d in b]
+            out[i : i + n] = map(add, out[i : i + n], row)
     return out
 
 
-def _mul_truncated(a: list[int], b: Sequence[int], limit: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * min(len(a) + len(b) - 1, limit + 1)
-    for i, c in enumerate(a):
-        if c:
-            stop = min(len(b), limit + 1 - i)
-            for j in range(stop):
-                if b[j]:
-                    out[i + j] += c * b[j]
-    return out
+def one_minus_x_product(exponents: Mapping[int, int], limit: int) -> IntPoly:
+    """Expand prod((1 - x^k)^e) over {k: e} as a series truncated at `limit`.
+
+    Multiplying by 1 - x^k subtracts a copy shifted by k; dividing by it is a
+    running sum along each residue class mod k.  The result is exact when the
+    product is a polynomial of degree at most `limit`.
+    """
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    n = limit + 1
+    out = [1] + [0] * limit
+    for k, e in exponents.items():
+        if k < 1:
+            raise ValueError(f"k must be a positive integer, got {k}")
+        if k >= n:
+            continue  # 1 - x^k is 1 below x^n
+        for _ in range(abs(e)):
+            if e > 0:
+                out[k:] = map(sub, out[k:], out[: n - k])
+            else:
+                for r in range(k):
+                    out[r::k] = accumulate(out[r::k])
+    return IntPoly(out)
 
 
 def _series_inverse(base: IntPoly, limit: int) -> list[int]:
@@ -306,7 +305,7 @@ def truncated_series_product(
         else:
             coeffs = _series_inverse(base, limit)
         for _ in range(abs(exponent)):
-            result = _mul_truncated(result, coeffs, limit)
+            result = _convolve(result, coeffs[: limit + 1])[: limit + 1]
             if not result:
                 break
     return IntPoly(result)

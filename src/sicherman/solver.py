@@ -10,21 +10,29 @@ since only the multiset of cyclotomic factors and the per-side face-count
 targets change.
 
 Since phi_d = prod over k | d of (1 - x^k)^mobius(d/k) for d > 1, every side
-is also x * prod((1 - x^k)^E_k) with net exponents E_k (`net_exponents`).
-Only k = 1 reaches x^1, so -E_1 is the side's linear coefficient; every
-enumeration skips a split with E_1 > 0 on either side before expanding it,
+is also x * prod((1 - x^k)^E_k) with net exponents E_k (`net_exponents`), and
+is expanded that way.  Only k = 1 reaches x^1, so -E_1 is the linear
+coefficient; every enumeration skips a split with E_1 > 0 on either side,
 and the cancelled series forms of the excluded splits are read off E.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .cyclotomic import CyclotomicCache, divisors, is_prime, mobius, prime_factors
 from .dice import Die, die_to_poly, poly_to_die
-from .polyint import ONE, IntPoly, X, one_minus_x_pow, truncated_series_product
+from .polyint import (
+    ONE,
+    IntPoly,
+    X,
+    one_minus_x_pow,
+    one_minus_x_product,
+    truncated_series_product,
+)
 
 DEFAULT_SEARCH_CAP = 10**6
 
@@ -237,17 +245,30 @@ def net_exponents(vector: ExponentVector) -> dict[int, int]:
     for d, c in vector.entries:
         if d < 2:
             raise ValueError(f"net exponents need divisors above 1, got {d}")
-        for k in divisors(d):
-            net[k] = net.get(k, 0) + c * mobius(d // k)
+        for k, mu in _mobius_terms(d):
+            net[k] = net.get(k, 0) + c * mu
     return {k: e for k, e in sorted(net.items()) if e}
+
+
+@functools.lru_cache(maxsize=None)
+def _mobius_terms(d: int) -> tuple[tuple[int, int], ...]:
+    """(k, mobius(d // k)) for the divisors k of d where it is nonzero."""
+    return tuple((k, mu) for k in divisors(d) if (mu := mobius(d // k)))
+
+
+def _expand(vector: ExponentVector) -> IntPoly:
+    """One side without its leading x, expanded from its net exponents."""
+    net = net_exponents(vector)
+    return one_minus_x_product(net, sum(k * e for k, e in net.items()))
 
 
 def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionPair]:
     cap = DEFAULT_SEARCH_CAP if search_cap is None else search_cap
+    if cap < 1:
+        raise SolverError(f"search_cap must be at least 1, got {cap}")
     mults = _divisor_mults(problem)
     left_size, right_size = problem.face_counts
     freq = frequency_poly(problem)
-    cache = CyclotomicCache()
     symmetric = left_size == right_size
     # E_1 of a side is sum(c_d * mobius(d)); both sides' E_1 add up to total.
     mu = {d: mobius(d) for d in mults}
@@ -259,12 +280,13 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
         if left_e1 > 0 or total_e1 - left_e1 > 0:
             continue
         right_vector = vector.complement(mults)
-        left_poly = _vector_poly(vector, cache)
-        if not left_poly.is_nonnegative:
+        left_body = _expand(vector)
+        if not left_body.is_nonnegative:
             continue
-        right_poly = _vector_poly(right_vector, cache)
-        if not right_poly.is_nonnegative:
+        right_body = _expand(right_vector)
+        if not right_body.is_nonnegative:
             continue
+        left_poly, right_poly = X * left_body, X * right_body
         if left_poly * right_poly != freq:
             raise AssertionError(
                 f"split {vector} does not multiply back to the frequency poly"
@@ -418,6 +440,8 @@ def _case_vector(
 ) -> ExponentVector:
     """The full exponent vector of one p^2*q or p*q*r split (see above)."""
     primes = _check_primes(case, primes)
+    if len(vector) != 4:
+        raise SolverError(f"case {case} needs 4 exponents, got {tuple(vector)}")
     if case == "p2q":
         p, q = primes
         fixed, keys = (q,), (p, p * p, p * q, p * p * q)
@@ -438,15 +462,12 @@ def excluded_vectors(case: str) -> tuple[tuple[int, ...], ...]:
 
 
 def candidate_product(
-    case: str,
-    primes: Sequence[int],
-    vector: Sequence[int],
-    cache: Optional[CyclotomicCache] = None,
+    case: str, primes: Sequence[int], vector: Sequence[int]
 ) -> IntPoly:
     """Direct cyclotomic expansion of one candidate split, without the
-    leading x, so the constant term is 1."""
+    leading x, so the constant term is 1; it referees `net_exponents`."""
     full = _case_vector(case, primes, vector)
-    return _vector_poly(full, cache or CyclotomicCache(), ONE)
+    return _vector_poly(full, CyclotomicCache(), ONE)
 
 
 def reduced_series_form(
@@ -479,10 +500,9 @@ def negative_certificates(case: str, primes: Sequence[int]) -> list[Certificate]
     absent; with valid distinct primes this never happens.
     """
     primes = _check_primes(case, primes)
-    cache = CyclotomicCache()
     out = []
     for vector in excluded_vectors(case):
-        poly = candidate_product(case, primes, vector, cache)
+        poly = _expand(_case_vector(case, primes, vector))
         witness = poly.first_negative()
         if witness is None:
             raise CertificateMissing(

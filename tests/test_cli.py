@@ -159,6 +159,13 @@ def test_oracle(capsys):
     assert code == 3
 
 
+def test_oracle_rejects_nonpositive_budget(capsys):
+    for raw in ("0", "-1"):
+        code, out, err = run(capsys, "oracle", "--sides", "3", "--max-nodes", raw)
+        assert code == 2 and out == ""
+        assert "max_nodes must be at least 1" in err
+
+
 def test_certify(capsys):
     code, out, _ = run(capsys, "certify", "--case", "p2q", "--primes", "2,3")
     assert code == 0

@@ -75,6 +75,12 @@ def test_node_budget():
         brute_force_pairs(9, SearchConfig(max_nodes=5))
 
 
+def test_node_budget_must_be_positive():
+    for max_nodes in (0, -1):
+        with pytest.raises(ValueError, match="max_nodes"):
+            brute_force_pairs(3, SearchConfig(max_nodes=max_nodes))
+
+
 def test_sweep_covers_coprime_pairs_only():
     report = conjecture_sweep(8)
     sizes = [e.sizes for e in report.entries]

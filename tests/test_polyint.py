@@ -1,5 +1,9 @@
 """Exact polynomial arithmetic, checked against a naive reference product."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +17,7 @@ from sicherman.polyint import (
     ZERO,
     geometric,
     one_minus_x_pow,
+    one_minus_x_product,
     truncated_series_product,
     x_pow_minus_one,
 )
@@ -71,7 +76,7 @@ def test_mul_examples():
 
 
 def test_mul_large_coefficients_stay_exact():
-    # large enough that the int64 fast path must be refused
+    # coefficients far beyond 64 bits must come out exact
     big = IntPoly([2**40] * 8)
     assert big * big == ref_mul(big, big)
     assert (big * big)[7] == 8 * 2**80
@@ -151,6 +156,36 @@ def test_truncated_series_product_errors():
         truncated_series_product([(ONE, 1)], -1)
 
 
+def test_one_minus_x_product_examples():
+    assert one_minus_x_product({}, 3) == ONE
+    assert one_minus_x_product({1: -1}, 4) == geometric(5)
+    # (1-x^2) / (1-x)^2 = (1+x)/(1-x)
+    assert one_minus_x_product({1: -2, 2: 1}, 4) == IntPoly((1, 2, 2, 2, 2))
+    # phi_6 = (1-x)(1-x^6) / ((1-x^2)(1-x^3)) is exact at its degree
+    assert one_minus_x_product({1: 1, 2: -1, 3: -1, 6: 1}, 2) == IntPoly((1, -1, 1))
+    # factors beyond the limit are 1 as series
+    assert one_minus_x_product({5: 3, 9: -2}, 4) == ONE
+
+
+def test_one_minus_x_product_errors():
+    with pytest.raises(ValueError):
+        one_minus_x_product({1: 1}, -1)
+    with pytest.raises(ValueError):
+        one_minus_x_product({0: 1}, 4)
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import sicherman; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr or "numpy was imported"
+
+
 @given(polys, polys)
 def test_mul_matches_reference(a, b):
     assert a * b == ref_mul(a, b)
@@ -195,3 +230,14 @@ def test_truncated_product_agrees_with_full_product(factors, limit):
         full = full * base**e
     expected = IntPoly(full.coeffs[: limit + 1])
     assert truncated_series_product(factors, limit) == expected
+
+
+@given(
+    st.dictionaries(st.integers(1, 12), st.integers(-3, 3), max_size=6),
+    st.integers(0, 40),
+)
+def test_one_minus_x_product_matches_series_product(exponents, limit):
+    factors = [(one_minus_x_pow(k), e) for k, e in exponents.items()]
+    assert one_minus_x_product(exponents, limit) == truncated_series_product(
+        factors, limit
+    )

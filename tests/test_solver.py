@@ -22,6 +22,7 @@ from sicherman.solver import (
     SearchCapExceeded,
     SolverError,
     UnsupportedShape,
+    candidate_product,
     decompose,
     decomposition_die_labels,
     enumerate_mixed,
@@ -164,6 +165,17 @@ def test_search_cap():
     with pytest.raises(SearchCapExceeded, match="81"):
         enumerate_pairs(30, search_cap=5)
     assert len(enumerate_pairs(30, search_cap=81)) == 13
+
+
+def test_search_cap_must_be_positive():
+    for cap in (0, -1):
+        for call in (
+            lambda: enumerate_pairs(1, search_cap=cap),
+            lambda: enumerate_mixed(2, 3, search_cap=cap),
+        ):
+            with pytest.raises(SolverError, match="search_cap") as exc:
+                call()
+            assert not isinstance(exc.value, SearchCapExceeded)
 
 
 def test_solve_dispatch():
@@ -353,6 +365,35 @@ def test_negative_certificates_validation():
         negative_certificates("pqr", (2, 3))
     with pytest.raises(UnsupportedShape):
         negative_certificates("cubefree", (2, 3))
+
+
+@pytest.mark.parametrize(
+    "case, primes", [("p2q", (13, 11)), ("p2q", (11, 13)), ("pqr", (13, 7, 11))]
+)
+def test_negative_certificates_at_large_primes(case, primes):
+    # the net-exponent expansion finds the same witness as the direct
+    # cyclotomic product, beyond the primes the acceptance criteria reach
+    certs = negative_certificates(case, primes)
+    assert [c.vector for c in certs] == list(excluded_vectors(case))
+    for cert in certs:
+        direct = candidate_product(case, primes, cert.vector)
+        assert direct.first_negative() == (cert.power, cert.coefficient)
+
+
+def test_case_vectors_need_four_exponents():
+    for case, primes, vector in (
+        ("p2q", (2, 3), (1, 1)),
+        ("p2q", (2, 3), (1, 1, 0, 2, 0)),
+        ("pqr", (2, 3, 5), (0, 2)),
+        ("pqr", (2, 3, 5), (0, 2, 2, 2, 1)),
+    ):
+        for call in (
+            lambda: candidate_product(case, primes, vector),
+            lambda: reduced_series_form(case, primes, vector),
+            lambda: reduced_form_matches(case, primes, vector, 10),
+        ):
+            with pytest.raises(SolverError, match="needs 4 exponents"):
+                call()
 
 
 def test_excluded_vectors_table():
