@@ -45,10 +45,10 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
+        cs = list(map(int, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -244,9 +244,11 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def one_minus_x_product(exponents: Mapping[int, int], limit: int) -> IntPoly:
     """Expand prod((1 - x^k)^e) over {k: e} as a series truncated at `limit`.
 
-    Multiplying by 1 - x^k subtracts a copy shifted by k; dividing by it is a
-    running sum along each residue class mod k.  The result is exact when the
-    product is a polynomial of degree at most `limit`.
+    Multiplying by 1 - x^k subtracts a copy shifted by k.  Dividing by it
+    makes out[i] += out[i - k] in increasing i: a running sum along each
+    residue class mod k when there are few classes, else one slice addition
+    per block of k terms.  The result is exact when the product is a
+    polynomial of degree at most `limit`.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -260,9 +262,12 @@ def one_minus_x_product(exponents: Mapping[int, int], limit: int) -> IntPoly:
         for _ in range(abs(e)):
             if e > 0:
                 out[k:] = map(sub, out[k:], out[: n - k])
-            else:
+            elif k * k <= n:
                 for r in range(k):
                     out[r::k] = accumulate(out[r::k])
+            else:
+                for j in range(k, n, k):
+                    out[j : j + k] = map(add, out[j : j + k], out[j - k : j])
     return IntPoly(out)
 
 

@@ -14,14 +14,19 @@ is also x * prod((1 - x^k)^E_k) with net exponents E_k (`net_exponents`), and
 is expanded that way.  Only k = 1 reaches x^1, so -E_1 is the linear
 coefficient; every enumeration skips a split with E_1 > 0 on either side,
 and the cancelled series forms of the excluded splits are read off E.
+
+Before a side of degree above PREFILTER_DEGREE is expanded in full, its
+series is expanded up to that degree, and a negative coefficient there
+rejects the split.  When both dice have the same face count, a split and its
+complement give the same unordered pair, so only one of the two is visited.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from operator import add, mul, sub
+from typing import Optional, Sequence
 
 from .cyclotomic import CyclotomicCache, divisors, is_prime, mobius, prime_factors
 from .dice import Die, die_to_poly, poly_to_die
@@ -35,6 +40,9 @@ from .polyint import (
 )
 
 DEFAULT_SEARCH_CAP = 10**6
+# Sides of higher degree are expanded to this degree first and rejected there
+# if a coefficient is already negative.
+PREFILTER_DEGREE = 16
 
 
 class SolverError(Exception):
@@ -181,15 +189,16 @@ def _capped_compositions(total: int, caps: Sequence[int]) -> list[tuple[int, ...
     return out
 
 
-def _candidate_vectors(
+def _candidate_axes(
     mults: dict[int, int], left_size: int, search_cap: int
-) -> Iterator[ExponentVector]:
-    """Yield every exponent split whose left side has `left_size` faces.
+) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The independent choices that make up every split with `left_size` faces.
 
     The left product evaluated at x=1 is the product of p^c over prime-power
     divisors p^j with exponent c, so for each prime the slot exponents must
     sum to the multiplicity of p in left_size.  Exponents of composite
-    divisors are free up to their multiplicity in the problem.
+    divisors are free up to their multiplicity in the problem.  Each axis is
+    (divisors, options), and a split takes one option from every axis.
     """
     prime_slots: dict[int, list[int]] = {}
     free: list[int] = []
@@ -201,27 +210,21 @@ def _candidate_vectors(
             free.append(d)
 
     left_factors = prime_factors(left_size)
-    axes: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    axes: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
     n_candidates = 1
     for p, slots in sorted(prime_slots.items()):
         target = left_factors.get(p, 0)
         comps = _capped_compositions(target, [mults[d] for d in slots])
-        axes.append([(tuple(slots), comp) for comp in comps])
+        axes.append((tuple(slots), comps))
         n_candidates *= len(comps)
     for d in free:
-        axes.append([((d,), (c,)) for c in range(mults[d] + 1)])
+        axes.append(((d,), [(c,) for c in range(mults[d] + 1)]))
         n_candidates *= mults[d] + 1
     if n_candidates > search_cap:
         raise SearchCapExceeded(
             f"{n_candidates} candidate vectors exceed the cap of {search_cap}"
         )
-
-    for chosen in itertools.product(*axes):
-        vec: dict[int, int] = {}
-        for slots, comp in chosen:
-            for d, c in zip(slots, comp):
-                vec[d] = c
-        yield ExponentVector.from_dict(vec)
+    return axes
 
 
 def _vector_poly(
@@ -256,10 +259,35 @@ def _mobius_terms(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, mu) for k in divisors(d) if (mu := mobius(d // k)))
 
 
-def _expand(vector: ExponentVector) -> IntPoly:
-    """One side without its leading x, expanded from its net exponents."""
-    net = net_exponents(vector)
-    return one_minus_x_product(net, sum(k * e for k, e in net.items()))
+def _combine(
+    axes: Sequence[list[tuple[tuple[int, ...], tuple[int, ...]]]], width: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every choice of one (exponents, net exponents) option per axis, summed."""
+    combos: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), (0,) * width)]
+    for options in axes:
+        combos = [
+            (exps + opt_exps, tuple(map(add, net, opt_net)))
+            for exps, net in combos
+            for opt_exps, opt_net in options
+        ]
+    return combos
+
+
+def _nonnegative_body(ks: Sequence[int], net: Sequence[int]) -> Optional[IntPoly]:
+    """prod((1 - x^k)^E_k) for one side, or None if a coefficient is negative.
+
+    A side of degree above PREFILTER_DEGREE is first expanded only that far:
+    the truncated series is exactly the low end of the full expansion, so a
+    negative coefficient there rejects the side at a fraction of the cost.
+    """
+    exponents = {k: e for k, e in zip(ks, net) if e}
+    degree = sum(map(mul, ks, net))
+    if degree > PREFILTER_DEGREE and not (
+        one_minus_x_product(exponents, PREFILTER_DEGREE).is_nonnegative
+    ):
+        return None
+    body = one_minus_x_product(exponents, degree)
+    return body if body.is_nonnegative else None
 
 
 def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionPair]:
@@ -270,33 +298,64 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
     left_size, right_size = problem.face_counts
     freq = frequency_poly(problem)
     symmetric = left_size == right_size
-    # E_1 of a side is sum(c_d * mobius(d)); both sides' E_1 add up to total.
-    mu = {d: mobius(d) for d in mults}
-    total_e1 = sum(mults[d] * mu[d] for d in mults)
+    axes = _candidate_axes(mults, left_size, cap)
 
+    # A split is its left exponents, aligned to `divs`, with the left side's
+    # net exponents, aligned to `ks` (so E_1 comes first).  Both are sums over
+    # the axes; each half of the axes is summed once, and a split adds a head
+    # to a tail.  The right side is what the left leaves of `full`.
+    divs = [d for slots, _ in axes for d in slots]
+    ks = [1, *sorted(divs)]  # every k that divides some d in divs
+
+    def net_row(slots: Sequence[int], exps: Sequence[int]) -> tuple[int, ...]:
+        net = net_exponents(ExponentVector.from_dict(dict(zip(slots, exps))))
+        return tuple(net.get(k, 0) for k in ks)
+
+    full = tuple(mults[d] for d in divs)
+    total_net = net_row(divs, full)
+    weighted = [
+        [(exps, net_row(slots, exps)) for exps in options] for slots, options in axes
+    ]
+    half = len(weighted) // 2
+    head = _combine(weighted[:half], len(ks))
+    tail = _combine(weighted[half:], len(ks))
+
+    # The loop builds no tuple from an iterator: such a tuple is resized to
+    # fit, and CPython then keeps up to 2000 freed tuples of every size it
+    # ends at, which showed as higher peak memory.
     found: dict[tuple, SolutionPair] = {}
-    for vector in _candidate_vectors(mults, left_size, cap):
-        left_e1 = sum(c * mu[d] for d, c in vector.entries)
-        if left_e1 > 0 or total_e1 - left_e1 > 0:
-            continue
-        right_vector = vector.complement(mults)
-        left_body = _expand(vector)
-        if not left_body.is_nonnegative:
-            continue
-        right_body = _expand(right_vector)
-        if not right_body.is_nonnegative:
-            continue
-        left_poly, right_poly = X * left_body, X * right_body
-        if left_poly * right_poly != freq:
-            raise AssertionError(
-                f"split {vector} does not multiply back to the frequency poly"
-            )
-        left = SolutionSide(poly_to_die(left_poly), left_poly, vector)
-        right = SolutionSide(poly_to_die(right_poly), right_poly, right_vector)
-        pair = SolutionPair(left, right)
-        if symmetric:
-            pair = pair.sorted_sides()
-        found.setdefault(pair.labels, pair)
+    for head_exps, head_net in head:
+        for tail_exps, tail_net in tail:
+            # -E_1 is the linear coefficient, so skip E_1 > 0 on either side.
+            left_e1 = head_net[0] + tail_net[0]
+            if left_e1 > 0 or left_e1 < total_net[0]:
+                continue
+            left_exps = head_exps + tail_exps
+            right_exps = tuple([f - c for f, c in zip(full, left_exps)])
+            # With equal face counts a split and its complement give the same
+            # pair once sorted, so only the smaller of the two is visited.
+            if symmetric and left_exps > right_exps:
+                continue
+            left_net = list(map(add, head_net, tail_net))
+            left_body = _nonnegative_body(ks, left_net)
+            if left_body is None:
+                continue
+            right_body = _nonnegative_body(ks, list(map(sub, total_net, left_net)))
+            if right_body is None:
+                continue
+            left_poly, right_poly = X * left_body, X * right_body
+            left_vector = ExponentVector.from_dict(dict(zip(divs, left_exps)))
+            if left_poly * right_poly != freq:
+                raise AssertionError(
+                    f"split {left_vector} does not multiply back to the frequency poly"
+                )
+            right_vector = ExponentVector.from_dict(dict(zip(divs, right_exps)))
+            left = SolutionSide(poly_to_die(left_poly), left_poly, left_vector)
+            right = SolutionSide(poly_to_die(right_poly), right_poly, right_vector)
+            pair = SolutionPair(left, right)
+            if symmetric:
+                pair = pair.sorted_sides()
+            found.setdefault(pair.labels, pair)
     return sorted(found.values(), key=lambda p: p.labels)
 
 
@@ -307,8 +366,9 @@ def enumerate_pairs(
 
     The standard pair is always included.  Pairs are unordered and come back
     sorted by labels, smaller die first.  `sign_prune` is accepted and
-    ignored: every enumeration now skips splits whose linear coefficient
-    -E_1 is negative.
+    ignored: every enumeration skips splits whose linear coefficient -E_1 is
+    negative, then rejects the rest by the truncated-series prefilter before
+    expanding in full, and visits a split or its complement, not both.
     """
     return _enumerate(Problem.equal(m), search_cap=search_cap)
 
@@ -502,7 +562,8 @@ def negative_certificates(case: str, primes: Sequence[int]) -> list[Certificate]
     primes = _check_primes(case, primes)
     out = []
     for vector in excluded_vectors(case):
-        poly = _expand(_case_vector(case, primes, vector))
+        net = net_exponents(_case_vector(case, primes, vector))
+        poly = one_minus_x_product(net, sum(k * e for k, e in net.items()))
         witness = poly.first_negative()
         if witness is None:
             raise CertificateMissing(

@@ -37,7 +37,8 @@ def test_brute_force_four():
 
 
 def test_brute_force_matches_solver():
-    for m in range(1, 7):
+    # every equal size up to 12, where a wrong symmetry skip would first show
+    for m in range(1, 13):
         brute = {(a.labels, b.labels) for a, b in brute_force_pairs(m)}
         assert brute == {p.labels for p in enumerate_pairs(m)}
 

@@ -1,14 +1,17 @@
 """Solver enumeration against frozen small cases and the histogram oracle."""
 
+import itertools
+
 import pytest
 
 from sicherman.cyclotomic import CyclotomicCache, divisors, mobius
-from sicherman.dice import Die, die_to_poly, sum_histogram
+from sicherman.dice import Die, die_to_poly, poly_to_die, sum_histogram
 from sicherman.polyint import (
     IntPoly,
     X,
     geometric,
     one_minus_x_pow,
+    one_minus_x_product,
     truncated_series_product,
 )
 from sicherman.solver import (
@@ -20,6 +23,8 @@ from sicherman.solver import (
     NotADivisor,
     Problem,
     SearchCapExceeded,
+    SolutionPair,
+    SolutionSide,
     SolverError,
     UnsupportedShape,
     candidate_product,
@@ -36,7 +41,7 @@ from sicherman.solver import (
     reduced_form_matches,
     reduced_series_form,
     solve,
-    _candidate_vectors,
+    _candidate_axes,
     _divisor_mults,
     _vector_poly,
 )
@@ -70,6 +75,15 @@ NET_EXPONENT_PROBLEMS = {
     "unequal-6-4x9": Problem.unequal_targets(6, 4, 9),
     "unequal-12-8x18": Problem.unequal_targets(12, 8, 18),
 }
+
+
+def candidate_vectors(mults, left_size):
+    """Every split's left ExponentVector, one option taken from each axis."""
+    axes = _candidate_axes(mults, left_size, 10**7)
+    divs = [d for slots, _ in axes for d in slots]
+    for chosen in itertools.product(*(options for _, options in axes)):
+        exps = itertools.chain.from_iterable(chosen)
+        yield ExponentVector.from_dict(dict(zip(divs, exps)))
 
 
 def labels_of(pairs):
@@ -288,7 +302,7 @@ def test_one_minus_x_exponent_is_mobius_sum():
     for m in (12, 30):
         problem = Problem.equal(m)
         mults = _divisor_mults(problem)
-        for vec in _candidate_vectors(mults, m, 10**6):
+        for vec in candidate_vectors(mults, m):
             expected = sum(c * mobius(d) for d, c in vec.entries)
             assert one_minus_x_exponent(vec, problem) == expected
 
@@ -310,7 +324,7 @@ def test_positive_exponent_means_negative_coefficient():
     for m in (12, 18, 30):
         problem = Problem.equal(m)
         mults = _divisor_mults(problem)
-        for vec in _candidate_vectors(mults, m, 10**6):
+        for vec in candidate_vectors(mults, m):
             if one_minus_x_exponent(vec, problem) > 0:
                 assert not _vector_poly(vec, cache).is_nonnegative
 
@@ -323,7 +337,7 @@ def test_net_exponents_match_direct_expansion(name):
     problem = NET_EXPONENT_PROBLEMS[name]
     cache = CyclotomicCache()
     mults = _divisor_mults(problem)
-    for vec in _candidate_vectors(mults, problem.face_counts[0], 10**6):
+    for vec in candidate_vectors(mults, problem.face_counts[0]):
         for side in (vec, vec.complement(mults)):
             net = net_exponents(side)
             body = IntPoly(_vector_poly(side, cache).coeffs[1:])
@@ -433,3 +447,57 @@ def test_excluded_splits_are_skipped_by_enumeration():
             {2: c_p, 4: c_p2, 3: 1, 6: c_pq, 12: c_p2q}
         )
         assert vec.entries not in seen
+
+
+# -- the enumeration's pruning against a plain referee ------------------------
+
+# Unordered pair counts of sizes where the prefilter rejects most sides.
+PAIR_COUNTS = {36: 57, 60: 125, 72: 348, 96: 583}
+
+REFEREE_PROBLEMS = {
+    "equal": [Problem.equal(m) for m in range(1, 41)],
+    "mixed": [Problem.mixed(a, b) for a in range(1, 13) for b in range(1, 13)],
+    "unequal": [
+        Problem.unequal_targets(m, s, m * m // s)
+        for m in range(1, 19)
+        for s in divisors(m * m)
+    ],
+}
+
+
+def referee_enumeration(problem):
+    """Every split expanded in full, with only the E_1 skip: no prefilter and
+    no complement symmetry."""
+    mults = _divisor_mults(problem)
+    left_size, right_size = problem.face_counts
+    found = {}
+    for vec in candidate_vectors(mults, left_size):
+        sides = []
+        for side in (vec, vec.complement(mults)):
+            net = net_exponents(side)
+            if net.get(1, 0) > 0:
+                break
+            body = one_minus_x_product(net, sum(k * e for k, e in net.items()))
+            if not body.is_nonnegative:
+                break
+            poly = X * body
+            sides.append(SolutionSide(poly_to_die(poly), poly, side))
+        else:
+            pair = SolutionPair(*sides)
+            if left_size == right_size:
+                pair = pair.sorted_sides()
+            found.setdefault(pair.labels, pair)
+    return sorted(found.values(), key=lambda p: p.labels)
+
+
+@pytest.mark.parametrize("kind", REFEREE_PROBLEMS)
+def test_pruning_changes_nothing(kind):
+    # same labels, exponent vectors and polynomials, in the same order
+    for problem in REFEREE_PROBLEMS[kind]:
+        assert solve(problem) == referee_enumeration(problem), problem
+
+
+def test_pair_counts():
+    for m, count in PAIR_COUNTS.items():
+        assert len(enumerate_pairs(m)) == count
+
