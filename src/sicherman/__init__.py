@@ -21,7 +21,6 @@ from .solver import (
     enumerate_unequal,
     frequency_poly,
     negative_certificates,
-    one_minus_x_exponent,
     solve,
 )
 from .counting import (
@@ -59,7 +58,6 @@ __all__ = [
     "enumerate_unequal",
     "frequency_poly",
     "negative_certificates",
-    "one_minus_x_exponent",
     "solve",
     "count_n_dice",
     "count_two_dice_trinomial",

@@ -73,15 +73,11 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
         raise UsageError(f"{flag} expects comma-separated integers") from None
 
 
-def _vector_json(side) -> Optional[dict[str, int]]:
-    if side.vector is None:
-        return None
+def _vector_json(side) -> dict[str, int]:
     return {str(d): c for d, c in side.vector.entries}
 
 
 def _vector_text(side) -> str:
-    if side.vector is None:
-        return "-"
     return "[" + " ".join(f"{d}:{c}" for d, c in side.vector.entries) + "]"
 
 
@@ -100,8 +96,7 @@ def _pair_lines(title: str, pairs: Sequence[SolutionPair]) -> list[str]:
     lines = [f"{title}: {len(pairs)} pairs, {len(dice)} distinct dice"]
     for i, p in enumerate(pairs, 1):
         lines.append(f"pair {i}: {p.left.die} | {p.right.die}")
-        if p.left.vector is not None:
-            lines.append(f"        {_vector_text(p.left)} | {_vector_text(p.right)}")
+        lines.append(f"        {_vector_text(p.left)} | {_vector_text(p.right)}")
     return lines
 
 

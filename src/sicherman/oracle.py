@@ -2,9 +2,10 @@
 
 `brute_force_pairs` searches over label multisets directly: labels are
 assigned value by value, and the running sum-frequency table both forces
-the number of faces carrying each value and prunes dead branches.  Nothing
-here knows about polynomial factors, so agreement with the solver is a
-meaningful check.
+the number of faces carrying each value and prunes dead branches.  The
+search keeps its own stack, so its depth is not bound by Python's
+recursion limit.  Nothing here knows about polynomial factors, so
+agreement with the solver is a meaningful check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    max_label: Optional[int] = None  # defaults to m + m2 - 1
     max_nodes: int = 2_000_000
 
 
@@ -48,11 +48,10 @@ def brute_force_pairs(
     second m2; when the sizes are equal each pair is listed once, smaller
     die first.  Both dice must carry a 1 (the unique way to reach sum 2),
     and from there the frequency of each partial sum forces how many faces
-    of each value the two dice hold together.  Labels run up to
-    config.max_label, default m + m2 - 1, which is the largest label any
-    solution can use (the other die's 1 leaves the largest sum m + m2).
-    Raises BudgetExceeded when more than config.max_nodes assignments are
-    tried.
+    of each value the two dice hold together.  Labels run up to m + m2 - 1,
+    which is the largest label any solution can use (the other die's 1
+    leaves the largest sum m + m2).  Raises BudgetExceeded when more than
+    config.max_nodes assignments are tried.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -61,27 +60,21 @@ def brute_force_pairs(
     elif m2 < 1:
         raise ValueError("m2 must be a positive integer")
     cfg = config or SearchConfig()
-    max_label = cfg.max_label if cfg.max_label is not None else m + m2 - 1
-    if max_label < 1:
-        raise ValueError("max_label must be at least 1")
     if cfg.max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {cfg.max_nodes}")
 
-    top = 2 * max_label
-    want = [0] * (top + 1)
+    last = m + m2 - 1  # the largest label
+    want = [0] * (2 * last + 1)
     for a in range(1, m + 1):
         for b in range(1, m2 + 1):
-            if a + b <= top:
-                want[a + b] += 1
-    if sum(want) != m * m2:
-        return []  # max_label too small to reach every standard sum
+            want[a + b] += 1
 
-    conv = [0] * (top + 1)
+    conv = [0] * (2 * last + 1)
     conv[2] = 1  # the forced 1-faces
-    mult_a = [0] * (max_label + 1)
-    mult_b = [0] * (max_label + 1)
+    mult_a = [0] * (last + 1)
+    mult_b = [0] * (last + 1)
     mult_a[1] = mult_b[1] = 1
-    applied: list[list[tuple[int, int]]] = [[] for _ in range(max_label + 1)]
+    applied: list[list[tuple[int, int]]] = [[] for _ in range(last + 1)]
     nodes = 0
     found: dict[tuple, tuple[Die, Die]] = {}
 
@@ -89,7 +82,7 @@ def brute_force_pairs(
         if conv != want:
             return
         labels_a, labels_b = [], []
-        for v in range(1, max_label + 1):
+        for v in range(1, last + 1):
             labels_a.extend([v] * mult_a[v])
             labels_b.extend([v] * mult_b[v])
         pair = (Die(tuple(labels_a)), Die(tuple(labels_b)))
@@ -128,29 +121,38 @@ def brute_force_pairs(
         applied[v] = []
         mult_a[v] = mult_b[v] = 0
 
-    def search(v: int, count_a: int, count_b: int) -> None:
-        nonlocal nodes
+    def frame(v: int, count_a: int, count_b: int) -> tuple:
+        """Enter value v: emit a finished pair, else set out the faces of
+        value v to try, as the total t and the counts da for the first die,
+        the larger da first."""
         if count_a == m and count_b == m2:
             emit()
-            return
-        if v > max_label:
-            return
+            return v, count_a, count_b, 0, range(0)
+        if v > last:
+            return v, count_a, count_b, 0, range(0)
         t = want[v + 1] - conv[v + 1]
-        if t < 0:
-            return
         hi = min(t, m - count_a)
         lo = max(0, t - (m2 - count_b))
-        for da in range(hi, lo - 1, -1):
+        return v, count_a, count_b, t, iter(range(hi, lo - 1, -1))
+
+    # One frame per label value on the current branch.  A frame whose trials
+    # are used up is popped, and the trial its parent placed is undone.
+    stack = [frame(2, 1, 1)]
+    while stack:
+        v, count_a, count_b, t, trials = stack[-1]
+        for da in trials:
             db = t - da
             nodes += 1
             if nodes > cfg.max_nodes:
                 sizes = f"size {m}" if m == m2 else f"sizes {m}x{m2}"
                 raise BudgetExceeded(f"more than {cfg.max_nodes} nodes at {sizes}")
             if place(v, da, db):
-                search(v + 1, count_a + da, count_b + db)
-                unplace(v)
-
-    search(2, 1, 1)
+                stack.append(frame(v + 1, count_a + da, count_b + db))
+                break
+        else:
+            stack.pop()
+            if stack:
+                unplace(v - 1)
     return sorted(found.values(), key=lambda pair: (pair[0].labels, pair[1].labels))
 
 

@@ -12,8 +12,7 @@ targets change.
 Since phi_d = prod over k | d of (1 - x^k)^mobius(d/k) for d > 1, every side
 is also x * prod((1 - x^k)^E_k) with net exponents E_k (`net_exponents`), and
 is expanded that way.  Only k = 1 reaches x^1, so -E_1 is the linear
-coefficient; every enumeration skips a split with E_1 > 0 on either side,
-and the cancelled series forms of the excluded splits are read off E.
+coefficient; every enumeration skips a split with E_1 > 0 on either side.
 
 Before a side of degree above PREFILTER_DEGREE is expanded in full, its
 series is expanded up to that degree, and a negative coefficient there
@@ -58,7 +57,7 @@ class NotADivisor(SolverError):
 
 
 class UnsupportedShape(SolverError):
-    """The paper's shortcuts and certificates only cover p^2*q and p*q*r."""
+    """The paper's certificates only cover p^2*q and p*q*r."""
 
 
 class SearchCapExceeded(SolverError):
@@ -78,27 +77,26 @@ class Problem:
     relabeled dice (their product must be sizes[0] * sizes[1]).
     """
 
-    kind: str
     sizes: tuple[int, int]
     targets: Optional[tuple[int, int]] = None
 
     @classmethod
     def equal(cls, m: int) -> Problem:
         _check_size(m)
-        return cls("equal", (m, m))
+        return cls((m, m))
 
     @classmethod
     def mixed(cls, m1: int, m2: int) -> Problem:
         _check_size(m1)
         _check_size(m2)
-        return cls("mixed", (m1, m2))
+        return cls((m1, m2))
 
     @classmethod
     def unequal_targets(cls, m: int, s1: int, s2: int) -> Problem:
         _check_size(m)
         if s1 < 1 or s2 < 1 or s1 * s2 != m * m:
             raise InvalidTargets(f"targets {s1}x{s2} do not multiply to {m}^2")
-        return cls("unequal", (m, m), (s1, s2))
+        return cls((m, m), (s1, s2))
 
     @property
     def face_counts(self) -> tuple[int, int]:
@@ -148,7 +146,7 @@ class ExponentVector:
 class SolutionSide:
     die: Die
     poly: IntPoly
-    vector: Optional[ExponentVector] = None
+    vector: ExponentVector
 
 
 @dataclass(frozen=True)
@@ -359,16 +357,11 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
     return sorted(found.values(), key=lambda p: p.labels)
 
 
-def enumerate_pairs(
-    m: int, *, search_cap: Optional[int] = None, sign_prune: bool = False
-) -> list[SolutionPair]:
+def enumerate_pairs(m: int, *, search_cap: Optional[int] = None) -> list[SolutionPair]:
     """All pairs of m-sided dice with standard sum frequencies.
 
     The standard pair is always included.  Pairs are unordered and come back
-    sorted by labels, smaller die first.  `sign_prune` is accepted and
-    ignored: every enumeration skips splits whose linear coefficient -E_1 is
-    negative, then rejects the rest by the truncated-series prefilter before
-    expanding in full, and visits a split or its complement, not both.
+    sorted by labels, smaller die first.
     """
     return _enumerate(Problem.equal(m), search_cap=search_cap)
 
@@ -446,21 +439,7 @@ def decomposition_die_labels(m: int, a: int) -> Die:
     return Die(tuple(labels))
 
 
-# -- sign shortcut and exclusion certificates -------------------------------
-
-
-def one_minus_x_exponent(vector: ExponentVector, problem: Problem) -> int:
-    """Net exponent E_1 of (1-x) in the reduced product form of one side.
-
-    The negated exponent is the linear coefficient of the product, so a
-    positive exponent certifies a negative coefficient.  The paper states
-    this shortcut for equal sizes p^2*q and p*q*r only, so other problems
-    raise UnsupportedShape.
-    """
-    shape = sorted(prime_factors(problem.sizes[0]).values())
-    if problem.kind != "equal" or shape not in ([1, 2], [1, 1, 1]):
-        raise UnsupportedShape(f"no (1-x) shortcut for {problem}")
-    return net_exponents(vector).get(1, 0)
+# -- exclusion certificates -------------------------------------------------
 
 
 # Splits that pass the per-prime face-count constraints but expand with a
@@ -530,24 +509,15 @@ def candidate_product(
     return _vector_poly(full, CyclotomicCache(), ONE)
 
 
-def reduced_series_form(
-    case: str, primes: Sequence[int], vector: Sequence[int]
-) -> list[tuple[IntPoly, int]]:
-    """The cancelled (1 - x^k)^E_k factor list for one excluded split."""
-    full = _case_vector(case, primes, vector)
-    if tuple(vector) not in excluded_vectors(case):
-        raise CertificateMissing(
-            f"{case} vector {tuple(vector)} is not an excluded split"
-        )
-    return [(one_minus_x_pow(k), e) for k, e in net_exponents(full).items()]
-
-
 def reduced_form_matches(
     case: str, primes: Sequence[int], vector: Sequence[int], limit: int
 ) -> bool:
-    """Check the series form against the direct expansion up to `limit`."""
+    """Check the cancelled series form prod((1 - x^k)^E_k) of one split
+    against its direct expansion up to `limit`."""
     direct = candidate_product(case, primes, vector)
-    series = truncated_series_product(reduced_series_form(case, primes, vector), limit)
+    net = net_exponents(_case_vector(case, primes, vector))
+    factors = [(one_minus_x_pow(k), e) for k, e in net.items()]
+    series = truncated_series_product(factors, limit)
     if limit >= direct.degree:
         return series == direct
     return series.coeffs == direct.coeffs[: limit + 1]
@@ -556,15 +526,22 @@ def reduced_form_matches(
 def negative_certificates(case: str, primes: Sequence[int]) -> list[Certificate]:
     """Locate the first negative coefficient of every excluded split.
 
-    Raises CertificateMissing if any expected negative coefficient is
-    absent; with valid distinct primes this never happens.
+    A truncated expansion is exactly the low end of the full one, so each
+    split is expanded to PREFILTER_DEGREE and then to twice the last limit
+    until a coefficient is negative or the full degree is reached.  Raises
+    CertificateMissing if any expected negative coefficient is absent; with
+    valid distinct primes this never happens.
     """
     primes = _check_primes(case, primes)
     out = []
     for vector in excluded_vectors(case):
         net = net_exponents(_case_vector(case, primes, vector))
-        poly = one_minus_x_product(net, sum(k * e for k, e in net.items()))
-        witness = poly.first_negative()
+        degree = sum(k * e for k, e in net.items())
+        limit = min(PREFILTER_DEGREE, degree)
+        witness = one_minus_x_product(net, limit).first_negative()
+        while witness is None and limit < degree:
+            limit = min(2 * limit, degree)
+            witness = one_minus_x_product(net, limit).first_negative()
         if witness is None:
             raise CertificateMissing(
                 f"{case} split {vector} at primes {primes} is nonnegative"

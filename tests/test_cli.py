@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sicherman.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -157,6 +163,19 @@ def test_oracle(capsys):
     assert "1,2,2,3,3,4 | 1,3,4,5,6,8" in out
     code, _, err = run(capsys, "oracle", "--sides", "9", "--max-nodes", "5")
     assert code == 3
+
+
+def test_oracle_deep_search_exits_on_budget():
+    # a search deeper than Python's recursion limit ends on its node budget
+    result = subprocess.run(
+        [sys.executable, "-m", "sicherman.cli", "oracle", "--sides", "600",
+         "--max-nodes", "20000"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 3
+    assert result.stderr.startswith("error: more than 20000 nodes at size 600")
+    assert "Traceback" not in result.stderr
 
 
 def test_oracle_rejects_nonpositive_budget(capsys):

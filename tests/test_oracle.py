@@ -43,25 +43,12 @@ def test_brute_force_matches_solver():
         assert brute == {p.labels for p in enumerate_pairs(m)}
 
 
-def test_max_label_restricts_solutions():
-    # labels capped at m leave only the standard pair
-    pairs = brute_force_pairs(4, SearchConfig(max_label=4))
-    assert [(a.labels, b.labels) for a, b in pairs] == [((1, 2, 3, 4), (1, 2, 3, 4))]
-    # too small to reach the large sums at all
-    assert brute_force_pairs(4, SearchConfig(max_label=2)) == []
-
-
 def test_brute_force_two_sizes():
-    # the 5-face die stays on the left; labels reach m + m2 - 1 = 10 by default
+    # the 5-face die stays on the left; labels reach m + m2 - 1 = 10
     pairs = brute_force_pairs(5, m2=6)
     assert [(a.labels, b.labels) for a, b in pairs] == [
         ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)),
         ((1, 3, 4, 5, 7), (1, 2, 2, 3, 3, 4)),
-    ]
-    # a label cap of 6 rules out the 7 on the nonstandard 5-face die
-    pairs = brute_force_pairs(5, SearchConfig(max_label=6), m2=6)
-    assert [(a.labels, b.labels) for a, b in pairs] == [
-        ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6))
     ]
 
 
@@ -74,6 +61,13 @@ def test_brute_force_rejects_bad_second_size():
 def test_node_budget():
     with pytest.raises(BudgetExceeded):
         brute_force_pairs(9, SearchConfig(max_nodes=5))
+
+
+def test_deep_search_hits_the_budget_not_the_recursion_limit():
+    # labels run to 1199, and within 20,000 nodes the search passes label
+    # 1000, deeper than Python's default recursion limit
+    with pytest.raises(BudgetExceeded, match="size 600"):
+        brute_force_pairs(600, SearchConfig(max_nodes=20_000))
 
 
 def test_node_budget_must_be_positive():

@@ -14,6 +14,7 @@ from sicherman.polyint import (
     one_minus_x_product,
     truncated_series_product,
 )
+from sicherman import solver
 from sicherman.solver import (
     CertificateMissing,
     EXCLUDED_P2Q,
@@ -37,11 +38,10 @@ from sicherman.solver import (
     frequency_poly,
     negative_certificates,
     net_exponents,
-    one_minus_x_exponent,
     reduced_form_matches,
-    reduced_series_form,
     solve,
     _candidate_axes,
+    _case_vector,
     _divisor_mults,
     _vector_poly,
 )
@@ -168,13 +168,6 @@ def test_pairs_multiply_to_frequency():
         assert histogram_ok(p, (12, 12))
 
 
-def test_sign_prune_is_transparent():
-    for m in (12, 18, 30, 42):
-        assert labels_of(enumerate_pairs(m, sign_prune=True)) == labels_of(
-            enumerate_pairs(m)
-        )
-
-
 def test_search_cap():
     with pytest.raises(SearchCapExceeded, match="81"):
         enumerate_pairs(30, search_cap=5)
@@ -279,53 +272,43 @@ def test_decomposition_die_labels():
         decomposition_die_labels(10, 4)
 
 
+def e1(vec):
+    """Net exponent E_1 of (1 - x) in one side's series form."""
+    return net_exponents(vec).get(1, 0)
+
+
 def test_one_minus_x_exponent_p2q():
-    problem = Problem.equal(12)
     # exponents of (phi_2, phi_3, phi_4, phi_6, phi_12)
     vec = ExponentVector.from_dict({2: 0, 3: 1, 4: 2, 6: 2, 12: 2})
-    assert one_minus_x_exponent(vec, problem) == 1
+    assert e1(vec) == 1
     standard = ExponentVector.from_dict({2: 1, 3: 1, 4: 1, 6: 1, 12: 1})
-    assert one_minus_x_exponent(standard, problem) == -1
+    assert e1(standard) == -1
 
 
 def test_one_minus_x_exponent_pqr():
-    problem = Problem.equal(30)
     vec = ExponentVector.from_dict({2: 1, 3: 1, 5: 1, 6: 2, 10: 2, 15: 2, 30: 0})
-    assert one_minus_x_exponent(vec, problem) == 3
+    assert e1(vec) == 3
     standard = ExponentVector.from_dict(
         {2: 1, 3: 1, 5: 1, 6: 1, 10: 1, 15: 1, 30: 1}
     )
-    assert one_minus_x_exponent(standard, problem) == -1
+    assert e1(standard) == -1
 
 
 def test_one_minus_x_exponent_is_mobius_sum():
     for m in (12, 30):
-        problem = Problem.equal(m)
-        mults = _divisor_mults(problem)
+        mults = _divisor_mults(Problem.equal(m))
         for vec in candidate_vectors(mults, m):
             expected = sum(c * mobius(d) for d, c in vec.entries)
-            assert one_minus_x_exponent(vec, problem) == expected
-
-
-def test_one_minus_x_exponent_unsupported():
-    vec = ExponentVector.from_dict({2: 1, 3: 1, 6: 1})
-    with pytest.raises(UnsupportedShape):
-        one_minus_x_exponent(vec, Problem.equal(6))
-    with pytest.raises(UnsupportedShape):
-        one_minus_x_exponent(vec, Problem.mixed(12, 12))
+            assert e1(vec) == expected
 
 
 def test_positive_exponent_means_negative_coefficient():
-    # the shortcut agrees with full expansion on every candidate split
-    from sicherman.cyclotomic import CyclotomicCache
-    from sicherman.solver import _vector_poly
-
+    # the E_1 skip agrees with full expansion on every candidate split
     cache = CyclotomicCache()
     for m in (12, 18, 30):
-        problem = Problem.equal(m)
-        mults = _divisor_mults(problem)
+        mults = _divisor_mults(Problem.equal(m))
         for vec in candidate_vectors(mults, m):
-            if one_minus_x_exponent(vec, problem) > 0:
+            if e1(vec) > 0:
                 assert not _vector_poly(vec, cache).is_nonnegative
 
 
@@ -394,6 +377,37 @@ def test_negative_certificates_at_large_primes(case, primes):
         assert direct.first_negative() == (cert.power, cert.coefficient)
 
 
+@pytest.mark.parametrize(
+    "case, primes, witnesses",
+    [
+        ("p2q", (97, 89), [(141, -1), (186, -1), (145, -1)]),
+        ("pqr", (41, 43, 47), [(43, -1), (62, -1), (1763, -1), (65, -1)]),
+    ],
+)
+def test_negative_certificates_expand_only_to_the_witness(
+    monkeypatch, case, primes, witnesses
+):
+    # each split's full degree is about 2p^2q, but no expansion goes past
+    # twice the power of the witness it finds
+    limits = []
+
+    def recording(exponents, limit):
+        limits.append(limit)
+        return one_minus_x_product(exponents, limit)
+
+    monkeypatch.setattr(solver, "one_minus_x_product", recording)
+    certs = negative_certificates(case, primes)
+    assert [(c.power, c.coefficient) for c in certs] == witnesses
+    assert max(limits) < 2 * max(power for power, _ in witnesses)
+
+
+def test_negative_certificates_missing(monkeypatch):
+    # the standard split (1, 1, 1, 1) is nonnegative up to its full degree
+    monkeypatch.setattr(solver, "excluded_vectors", lambda case: ((1, 1, 1, 1),))
+    with pytest.raises(CertificateMissing):
+        negative_certificates("p2q", (5, 3))
+
+
 def test_case_vectors_need_four_exponents():
     for case, primes, vector in (
         ("p2q", (2, 3), (1, 1)),
@@ -403,7 +417,6 @@ def test_case_vectors_need_four_exponents():
     ):
         for call in (
             lambda: candidate_product(case, primes, vector),
-            lambda: reduced_series_form(case, primes, vector),
             lambda: reduced_form_matches(case, primes, vector, 10),
         ):
             with pytest.raises(SolverError, match="needs 4 exponents"):
@@ -427,13 +440,8 @@ def test_reduced_series_form_is_the_cancelled_form():
     for (case, primes), forms in CANCELLED_FORMS.items():
         assert set(forms) == set(excluded_vectors(case))
         for vector, form in forms.items():
-            want = [(one_minus_x_pow(k), e) for k, e in sorted(form)]
-            assert reduced_series_form(case, primes, vector) == want
-
-
-def test_reduced_series_form_unknown_vector():
-    with pytest.raises(CertificateMissing):
-        reduced_series_form("p2q", (2, 3), (9, 9, 9, 9))
+            net = net_exponents(_case_vector(case, primes, vector))
+            assert list(net.items()) == sorted(form)
 
 
 def test_excluded_splits_are_skipped_by_enumeration():
