@@ -30,7 +30,7 @@ from .counting import (
     check_triangular_identity,
     triangular,
 )
-from .oracle import SearchConfig, brute_force_pairs, conjecture_sweep
+from .oracle import brute_force_pairs, conjecture_sweep
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "count_unbounded",
     "check_triangular_identity",
     "triangular",
-    "SearchConfig",
     "brute_force_pairs",
     "conjecture_sweep",
     "__version__",

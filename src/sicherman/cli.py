@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .counting import count_n_dice, count_unbounded
 from .cyclotomic import check_identity_suite
 from .dice import Die, DieError, sum_histogram
-from .oracle import BudgetExceeded, SearchConfig, brute_force_pairs
+from .oracle import DEFAULT_MAX_NODES, BudgetExceeded, brute_force_pairs
 from .solver import (
     CertificateMissing,
     SearchCapExceeded,
@@ -239,8 +239,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config = SearchConfig(max_nodes=args.max_nodes)
-    pairs = brute_force_pairs(args.sides, config)
+    pairs = brute_force_pairs(args.sides, max_nodes=args.max_nodes)
     results = {
         "pairs": [[list(a.labels), list(b.labels)] for a, b in pairs],
         "pair_count": len(pairs),
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("oracle", cmd_oracle, "brute-force search without factorization")
     p.add_argument("--sides", type=int, required=True, help="die size m")
     p.add_argument(
-        "--max-nodes", type=int, default=SearchConfig().max_nodes,
+        "--max-nodes", type=int, default=DEFAULT_MAX_NODES,
         help="node budget for the search",
     )
 

@@ -94,13 +94,13 @@ class CyclotomicCache:
 _shared_cache = CyclotomicCache()
 
 
-def cyclotomic(n: int, cache: Optional[CyclotomicCache] = None) -> IntPoly:
+def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial.
 
     >>> cyclotomic(6)
     IntPoly('1 - x + x^2')
     """
-    return (cache or _shared_cache).get(n)
+    return _shared_cache.get(n)
 
 
 def cyclotomic_by_division(n: int) -> IntPoly:

@@ -18,13 +18,11 @@ from .dice import Die, sum_histogram
 from .solver import enumerate_mixed
 
 
+DEFAULT_MAX_NODES = 2_000_000
+
+
 class BudgetExceeded(Exception):
     """The node budget ran out before the search finished."""
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    max_nodes: int = 2_000_000
 
 
 def verify_pair_against_standard(
@@ -40,7 +38,7 @@ def verify_pair_against_standard(
 
 
 def brute_force_pairs(
-    m: int, config: Optional[SearchConfig] = None, *, m2: Optional[int] = None
+    m: int, *, m2: Optional[int] = None, max_nodes: int = DEFAULT_MAX_NODES
 ) -> list[tuple[Die, Die]]:
     """All pairs of dice whose sums match standard m- and m2-sided dice.
 
@@ -51,7 +49,7 @@ def brute_force_pairs(
     of each value the two dice hold together.  Labels run up to m + m2 - 1,
     which is the largest label any solution can use (the other die's 1
     leaves the largest sum m + m2).  Raises BudgetExceeded when more than
-    config.max_nodes assignments are tried.
+    max_nodes assignments are tried.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -59,9 +57,8 @@ def brute_force_pairs(
         m2 = m
     elif m2 < 1:
         raise ValueError("m2 must be a positive integer")
-    cfg = config or SearchConfig()
-    if cfg.max_nodes < 1:
-        raise ValueError(f"max_nodes must be at least 1, got {cfg.max_nodes}")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
 
     last = m + m2 - 1  # the largest label
     want = [0] * (2 * last + 1)
@@ -71,20 +68,17 @@ def brute_force_pairs(
 
     conv = [0] * (2 * last + 1)
     conv[2] = 1  # the forced 1-faces
-    mult_a = [0] * (last + 1)
-    mult_b = [0] * (last + 1)
-    mult_a[1] = mult_b[1] = 1
-    applied: list[list[tuple[int, int]]] = [[] for _ in range(last + 1)]
+    # (value, faces on the first die, faces on the second) for each value
+    # that carries a face on the current branch, in increasing value
+    placed = [(1, 1, 1)]
     nodes = 0
     found: dict[tuple, tuple[Die, Die]] = {}
 
     def emit() -> None:
         if conv != want:
             return
-        labels_a, labels_b = [], []
-        for v in range(1, last + 1):
-            labels_a.extend([v] * mult_a[v])
-            labels_b.extend([v] * mult_b[v])
+        labels_a = [v for v, da, _ in placed for _ in range(da)]
+        labels_b = [v for v, _, db in placed for _ in range(db)]
         pair = (Die(tuple(labels_a)), Die(tuple(labels_b)))
         if m == m2 and pair[1].labels < pair[0].labels:
             pair = (pair[1], pair[0])
@@ -92,34 +86,18 @@ def brute_force_pairs(
             raise AssertionError(f"search produced a bad pair {pair}")
         found.setdefault((pair[0].labels, pair[1].labels), pair)
 
-    def place(v: int, da: int, db: int) -> bool:
-        """Add faces and update conv; undo and return False on overflow."""
-        deltas = []
-        for u in range(1, v):
-            delta = da * mult_b[u] + mult_a[u] * db
-            if delta:
-                deltas.append((v + u, delta))
-        if da and db:
-            deltas.append((2 * v, da * db))
+    def shift(v: int, da: int, db: int, sign: int) -> bool:
+        """Add (sign 1) or take back (sign -1) in conv the sums that da and db
+        faces of value v make with every placed face and with each other;
+        return whether conv stays within want."""
         ok = True
-        for s, delta in deltas:
-            conv[s] += delta
+        for u, ua, ub in placed:
+            s = v + u
+            conv[s] += sign * (da * ub + ua * db)
             if conv[s] > want[s]:
                 ok = False
-        if not ok:
-            for s, delta in deltas:
-                conv[s] -= delta
-            return False
-        mult_a[v] = da
-        mult_b[v] = db
-        applied[v] = deltas
-        return True
-
-    def unplace(v: int) -> None:
-        for s, delta in applied[v]:
-            conv[s] -= delta
-        applied[v] = []
-        mult_a[v] = mult_b[v] = 0
+        conv[2 * v] += sign * da * db
+        return ok and conv[2 * v] <= want[2 * v]
 
     def frame(v: int, count_a: int, count_b: int) -> tuple:
         """Enter value v: emit a finished pair, else set out the faces of
@@ -143,16 +121,21 @@ def brute_force_pairs(
         for da in trials:
             db = t - da
             nodes += 1
-            if nodes > cfg.max_nodes:
+            if nodes > max_nodes:
                 sizes = f"size {m}" if m == m2 else f"sizes {m}x{m2}"
-                raise BudgetExceeded(f"more than {cfg.max_nodes} nodes at {sizes}")
-            if place(v, da, db):
-                stack.append(frame(v + 1, count_a + da, count_b + db))
-                break
+                raise BudgetExceeded(f"more than {max_nodes} nodes at {sizes}")
+            if t:  # t == 0 places no face of value v
+                if not shift(v, da, db, 1):
+                    shift(v, da, db, -1)
+                    continue
+                placed.append((v, da, db))
+            stack.append(frame(v + 1, count_a + da, count_b + db))
+            break
         else:
             stack.pop()
-            if stack:
-                unplace(v - 1)
+            if stack and placed[-1][0] == v - 1:
+                _, da, db = placed.pop()
+                shift(v - 1, da, db, -1)
     return sorted(found.values(), key=lambda pair: (pair[0].labels, pair[1].labels))
 
 

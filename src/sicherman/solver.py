@@ -11,8 +11,11 @@ targets change.
 
 Since phi_d = prod over k | d of (1 - x^k)^mobius(d/k) for d > 1, every side
 is also x * prod((1 - x^k)^E_k) with net exponents E_k (`net_exponents`), and
-is expanded that way.  Only k = 1 reaches x^1, so -E_1 is the linear
-coefficient; every enumeration skips a split with E_1 > 0 on either side.
+is expanded that way.  The search loop carries each split only as the left
+side's net exponents; the exponent vectors of a surviving pair come back by
+Mobius inversion, c_d = sum of E_k over the multiples k of d.  Only k = 1
+reaches x^1, so -E_1 is the linear coefficient; every enumeration skips a
+split with E_1 > 0 on either side.
 
 Before a side of degree above PREFILTER_DEGREE is expanded in full, its
 series is expanded up to that degree, and a negative coefficient there
@@ -258,16 +261,12 @@ def _mobius_terms(d: int) -> tuple[tuple[int, int], ...]:
 
 
 def _combine(
-    axes: Sequence[list[tuple[tuple[int, ...], tuple[int, ...]]]], width: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every choice of one (exponents, net exponents) option per axis, summed."""
-    combos: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), (0,) * width)]
+    axes: Sequence[list[tuple[int, ...]]], width: int
+) -> list[tuple[int, ...]]:
+    """Every choice of one net-exponent row per axis, summed."""
+    combos: list[tuple[int, ...]] = [(0,) * width]
     for options in axes:
-        combos = [
-            (exps + opt_exps, tuple(map(add, net, opt_net)))
-            for exps, net in combos
-            for opt_exps, opt_net in options
-        ]
+        combos = [tuple(map(add, net, opt)) for net in combos for opt in options]
     return combos
 
 
@@ -298,10 +297,9 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
     symmetric = left_size == right_size
     axes = _candidate_axes(mults, left_size, cap)
 
-    # A split is its left exponents, aligned to `divs`, with the left side's
-    # net exponents, aligned to `ks` (so E_1 comes first).  Both are sums over
-    # the axes; each half of the axes is summed once, and a split adds a head
-    # to a tail.  The right side is what the left leaves of `full`.
+    # A split is the left side's net exponents, aligned to `ks` (so E_1 comes
+    # first), and the right side's are what the left leaves of `total_net`.
+    # Each half of the axes is summed once, and a split adds a head to a tail.
     divs = [d for slots, _ in axes for d in slots]
     ks = [1, *sorted(divs)]  # every k that divides some d in divs
 
@@ -309,47 +307,53 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
         net = net_exponents(ExponentVector.from_dict(dict(zip(slots, exps))))
         return tuple(net.get(k, 0) for k in ks)
 
-    full = tuple(mults[d] for d in divs)
-    total_net = net_row(divs, full)
-    weighted = [
-        [(exps, net_row(slots, exps)) for exps in options] for slots, options in axes
-    ]
-    half = len(weighted) // 2
-    head = _combine(weighted[:half], len(ks))
-    tail = _combine(weighted[half:], len(ks))
+    # Mobius inversion of net_exponents: c_d is the sum of E_k over the k in
+    # ks that d divides.
+    multiples = [(d, [i for i, k in enumerate(ks) if k % d == 0]) for d in divs]
+
+    def vector(net: Sequence[int]) -> ExponentVector:
+        return ExponentVector.from_dict(
+            {d: sum([net[i] for i in idx]) for d, idx in multiples}
+        )
+
+    total_net = net_row(divs, [mults[d] for d in divs])
+    rows = [[net_row(slots, exps) for exps in options] for slots, options in axes]
+    half = len(rows) // 2
+    head = _combine(rows[:half], len(ks))
+    tail = _combine(rows[half:], len(ks))
 
     # The loop builds no tuple from an iterator: such a tuple is resized to
     # fit, and CPython then keeps up to 2000 freed tuples of every size it
     # ends at, which showed as higher peak memory.
     found: dict[tuple, SolutionPair] = {}
-    for head_exps, head_net in head:
-        for tail_exps, tail_net in tail:
+    for head_net in head:
+        for tail_net in tail:
             # -E_1 is the linear coefficient, so skip E_1 > 0 on either side.
             left_e1 = head_net[0] + tail_net[0]
             if left_e1 > 0 or left_e1 < total_net[0]:
                 continue
-            left_exps = head_exps + tail_exps
-            right_exps = tuple([f - c for f, c in zip(full, left_exps)])
+            left_net = list(map(add, head_net, tail_net))
+            right_net = list(map(sub, total_net, left_net))
             # With equal face counts a split and its complement give the same
             # pair once sorted, so only the smaller of the two is visited.
-            if symmetric and left_exps > right_exps:
+            # Exponents map to net exponents one to one, so a split equals its
+            # complement in one form exactly when it does in the other.
+            if symmetric and left_net > right_net:
                 continue
-            left_net = list(map(add, head_net, tail_net))
             left_body = _nonnegative_body(ks, left_net)
             if left_body is None:
                 continue
-            right_body = _nonnegative_body(ks, list(map(sub, total_net, left_net)))
+            right_body = _nonnegative_body(ks, right_net)
             if right_body is None:
                 continue
             left_poly, right_poly = X * left_body, X * right_body
-            left_vector = ExponentVector.from_dict(dict(zip(divs, left_exps)))
+            left_vector = vector(left_net)
             if left_poly * right_poly != freq:
                 raise AssertionError(
                     f"split {left_vector} does not multiply back to the frequency poly"
                 )
-            right_vector = ExponentVector.from_dict(dict(zip(divs, right_exps)))
             left = SolutionSide(poly_to_die(left_poly), left_poly, left_vector)
-            right = SolutionSide(poly_to_die(right_poly), right_poly, right_vector)
+            right = SolutionSide(poly_to_die(right_poly), right_poly, vector(right_net))
             pair = SolutionPair(left, right)
             if symmetric:
                 pair = pair.sorted_sides()
@@ -402,13 +406,13 @@ def decompose(m: int, a: int) -> SolutionPair:
     """
     if a < 1 or m % a:
         raise NotADivisor(f"{a} does not divide {m}")
-    freq = frequency_poly(Problem.equal(m))
+    problem = Problem.equal(m)
     small_die = Die.standard(a)
     small = die_to_poly(small_die)
-    big = freq.div_exact(small)
+    big = frequency_poly(problem).div_exact(small)
     if not big.is_nonnegative:
         raise AssertionError(f"divisor {a} of {m} gave a negative expansion")
-    mults = {d: 2 for d in divisors(m) if d > 1}
+    mults = _divisor_mults(problem)
     left_vector = ExponentVector.from_dict(
         {d: (1 if a % d == 0 else 0) for d in mults}
     )

@@ -5,7 +5,6 @@ import pytest
 from sicherman.dice import Die, sum_histogram
 from sicherman.oracle import (
     BudgetExceeded,
-    SearchConfig,
     brute_force_pairs,
     conjecture_sweep,
     verify_pair_against_standard,
@@ -60,20 +59,30 @@ def test_brute_force_rejects_bad_second_size():
 
 def test_node_budget():
     with pytest.raises(BudgetExceeded):
-        brute_force_pairs(9, SearchConfig(max_nodes=5))
+        brute_force_pairs(9, max_nodes=5)
+
+
+def test_node_budget_boundaries():
+    # the smallest budgets that finish, which pin the order the search
+    # tries its nodes in
+    boundaries = ((6, 6, 77), (9, 9, 642), (12, 12, 4751), (5, 6, 49), (6, 5, 49))
+    for m, m2, budget in boundaries:
+        assert brute_force_pairs(m, m2=m2, max_nodes=budget)
+        with pytest.raises(BudgetExceeded):
+            brute_force_pairs(m, m2=m2, max_nodes=budget - 1)
 
 
 def test_deep_search_hits_the_budget_not_the_recursion_limit():
     # labels run to 1199, and within 20,000 nodes the search passes label
     # 1000, deeper than Python's default recursion limit
     with pytest.raises(BudgetExceeded, match="size 600"):
-        brute_force_pairs(600, SearchConfig(max_nodes=20_000))
+        brute_force_pairs(600, max_nodes=20_000)
 
 
 def test_node_budget_must_be_positive():
     for max_nodes in (0, -1):
         with pytest.raises(ValueError, match="max_nodes"):
-            brute_force_pairs(3, SearchConfig(max_nodes=max_nodes))
+            brute_force_pairs(3, max_nodes=max_nodes)
 
 
 def test_sweep_covers_coprime_pairs_only():
