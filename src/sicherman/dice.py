@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 from .polyint import IntPoly
@@ -36,7 +37,7 @@ class Die:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        labels = tuple(sorted(int(v) for v in self.labels))
+        labels = tuple(sorted(map(index, self.labels)))
         if not labels:
             raise DieError("a die needs at least one face")
         if labels[0] < 1:

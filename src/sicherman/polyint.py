@@ -13,7 +13,7 @@ safe to share across threads.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, sub
+from operator import add, index, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -45,7 +45,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(map(int, coeffs))
+        cs = list(map(index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

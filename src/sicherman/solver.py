@@ -17,18 +17,21 @@ Mobius inversion, c_d = sum of E_k over the multiples k of d.  Only k = 1
 reaches x^1, so -E_1 is the linear coefficient; every enumeration skips a
 split with E_1 > 0 on either side.
 
-Before a side of degree above PREFILTER_DEGREE is expanded in full, its
-series is expanded up to that degree, and a negative coefficient there
-rejects the split.  When both dice have the same face count, a split and its
-complement give the same unordered pair, so only one of the two is visited.
+One rule, `_expand_side`, decides every side in the enumeration and in
+`certify`.  A side body is a product of palindromic phi_d, d > 1, so its
+lower half decides it and determines the rest: that half is expanded to
+PREFILTER_DEGREE, then to twice the last limit, until a coefficient is
+negative (the witness) or half the degree is reached.  When both dice have
+the same face count, a split and its complement give the same unordered
+pair, so only one of the two is visited.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import add, mul, sub
-from typing import Optional, Sequence
+from operator import add, sub
+from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import CyclotomicCache, divisors, is_prime, mobius, prime_factors
 from .dice import Die, die_to_poly, poly_to_die
@@ -42,8 +45,7 @@ from .polyint import (
 )
 
 DEFAULT_SEARCH_CAP = 10**6
-# Sides of higher degree are expanded to this degree first and rejected there
-# if a coefficient is already negative.
+# The first limit of a side's lower-half expansion; each later one doubles.
 PREFILTER_DEGREE = 16
 
 
@@ -270,21 +272,28 @@ def _combine(
     return combos
 
 
-def _nonnegative_body(ks: Sequence[int], net: Sequence[int]) -> Optional[IntPoly]:
-    """prod((1 - x^k)^E_k) for one side, or None if a coefficient is negative.
+def _expand_side(
+    net: Mapping[int, int],
+) -> tuple[Optional[IntPoly], Optional[tuple[int, int]]]:
+    """(x * prod((1 - x^k)^E_k), None) for one side's net exponents {k: E_k},
+    or (None, (power, coefficient)) at the body's first negative coefficient.
 
-    A side of degree above PREFILTER_DEGREE is first expanded only that far:
-    the truncated series is exactly the low end of the full expansion, so a
-    negative coefficient there rejects the side at a fraction of the cost.
+    A truncated expansion is exactly the low end of the full one, and the
+    first negative coefficient of a palindromic body lies at or below half
+    its degree.  The upper half of a nonnegative side mirrors the lower.
     """
-    exponents = {k: e for k, e in zip(ks, net) if e}
-    degree = sum(map(mul, ks, net))
-    if degree > PREFILTER_DEGREE and not (
-        one_minus_x_product(exponents, PREFILTER_DEGREE).is_nonnegative
-    ):
-        return None
-    body = one_minus_x_product(exponents, degree)
-    return body if body.is_nonnegative else None
+    degree = sum(k * e for k, e in net.items())
+    half = degree // 2
+    limit = min(PREFILTER_DEGREE, half)
+    while True:
+        lower = one_minus_x_product(net, limit)
+        witness = lower.first_negative()
+        if witness is not None:
+            return None, witness
+        if limit == half:
+            low = list(lower.coeffs) + [0] * (half + 1 - len(lower.coeffs))
+            return IntPoly([0, *low, *low[: degree - half][::-1]]), None
+        limit = min(2 * limit, half)
 
 
 def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionPair]:
@@ -325,7 +334,7 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
     # The loop builds no tuple from an iterator: such a tuple is resized to
     # fit, and CPython then keeps up to 2000 freed tuples of every size it
     # ends at, which showed as higher peak memory.
-    found: dict[tuple, SolutionPair] = {}
+    found: list[SolutionPair] = []
     for head_net in head:
         for tail_net in tail:
             # -E_1 is the linear coefficient, so skip E_1 > 0 on either side.
@@ -340,13 +349,12 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
             # complement in one form exactly when it does in the other.
             if symmetric and left_net > right_net:
                 continue
-            left_body = _nonnegative_body(ks, left_net)
-            if left_body is None:
+            left_poly, _ = _expand_side({k: e for k, e in zip(ks, left_net) if e})
+            if left_poly is None:
                 continue
-            right_body = _nonnegative_body(ks, right_net)
-            if right_body is None:
+            right_poly, _ = _expand_side({k: e for k, e in zip(ks, right_net) if e})
+            if right_poly is None:
                 continue
-            left_poly, right_poly = X * left_body, X * right_body
             left_vector = vector(left_net)
             if left_poly * right_poly != freq:
                 raise AssertionError(
@@ -357,8 +365,8 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
             pair = SolutionPair(left, right)
             if symmetric:
                 pair = pair.sorted_sides()
-            found.setdefault(pair.labels, pair)
-    return sorted(found.values(), key=lambda p: p.labels)
+            found.append(pair)
+    return sorted(found, key=lambda p: p.labels)
 
 
 def enumerate_pairs(m: int, *, search_cap: Optional[int] = None) -> list[SolutionPair]:
@@ -528,24 +536,15 @@ def reduced_form_matches(
 
 
 def negative_certificates(case: str, primes: Sequence[int]) -> list[Certificate]:
-    """Locate the first negative coefficient of every excluded split.
-
-    A truncated expansion is exactly the low end of the full one, so each
-    split is expanded to PREFILTER_DEGREE and then to twice the last limit
-    until a coefficient is negative or the full degree is reached.  Raises
-    CertificateMissing if any expected negative coefficient is absent; with
-    valid distinct primes this never happens.
+    """Locate the first negative coefficient of every excluded split, by the
+    rule that decides every side (`_expand_side`).  Raises CertificateMissing
+    if any expected negative coefficient is absent; with valid distinct
+    primes this never happens.
     """
     primes = _check_primes(case, primes)
     out = []
     for vector in excluded_vectors(case):
-        net = net_exponents(_case_vector(case, primes, vector))
-        degree = sum(k * e for k, e in net.items())
-        limit = min(PREFILTER_DEGREE, degree)
-        witness = one_minus_x_product(net, limit).first_negative()
-        while witness is None and limit < degree:
-            limit = min(2 * limit, degree)
-            witness = one_minus_x_product(net, limit).first_negative()
+        _, witness = _expand_side(net_exponents(_case_vector(case, primes, vector)))
         if witness is None:
             raise CertificateMissing(
                 f"{case} split {vector} at primes {primes} is nonnegative"

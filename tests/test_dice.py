@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +33,9 @@ def test_die_validation():
         Die((-2,))
     with pytest.raises(DieError):
         Die.standard(0)
+    for labels in ((1.7, 2.2), (1, 2.0), (Fraction(3, 1),), ("1",)):
+        with pytest.raises(TypeError):
+            Die(labels)
 
 
 def test_die_text_roundtrip():

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,10 @@ def test_canonical_form():
     assert ZERO.degree == -1
     assert X.degree == 1
     assert IntPoly((0, 0, 5)).degree == 2
+    assert IntPoly((True, False)).coeffs == (1,)
+    for coeffs in ((0.5,), (1, 2.9), (Fraction(3, 2),), ("1",)):
+        with pytest.raises(TypeError):
+            IntPoly(coeffs)
 
 
 def test_getitem_out_of_range():

@@ -327,6 +327,10 @@ def test_net_exponents_match_direct_expansion(name):
             factors = [(one_minus_x_pow(k), e) for k, e in net.items()]
             assert truncated_series_product(factors, body.degree) == body
             assert body[1] == -net.get(1, 0)
+            if body.is_nonnegative:
+                assert solver._expand_side(net) == (X * body, None)
+            else:
+                assert solver._expand_side(net) == (None, body.first_negative())
 
 
 def test_net_exponents_of_phi():
@@ -377,6 +381,19 @@ def test_negative_certificates_at_large_primes(case, primes):
         assert direct.first_negative() == (cert.power, cert.coefficient)
 
 
+@pytest.fixture
+def limits(monkeypatch):
+    """Every limit passed to solver.one_minus_x_product, in call order."""
+    seen = []
+
+    def recording(exponents, limit):
+        seen.append(limit)
+        return one_minus_x_product(exponents, limit)
+
+    monkeypatch.setattr(solver, "one_minus_x_product", recording)
+    return seen
+
+
 @pytest.mark.parametrize(
     "case, primes, witnesses",
     [
@@ -385,27 +402,30 @@ def test_negative_certificates_at_large_primes(case, primes):
     ],
 )
 def test_negative_certificates_expand_only_to_the_witness(
-    monkeypatch, case, primes, witnesses
+    limits, case, primes, witnesses
 ):
     # each split's full degree is about 2p^2q, but no expansion goes past
     # twice the power of the witness it finds
-    limits = []
-
-    def recording(exponents, limit):
-        limits.append(limit)
-        return one_minus_x_product(exponents, limit)
-
-    monkeypatch.setattr(solver, "one_minus_x_product", recording)
     certs = negative_certificates(case, primes)
     assert [(c.power, c.coefficient) for c in certs] == witnesses
     assert max(limits) < 2 * max(power for power, _ in witnesses)
 
 
 def test_negative_certificates_missing(monkeypatch):
-    # the standard split (1, 1, 1, 1) is nonnegative up to its full degree
+    # the standard split (1, 1, 1, 1) is nonnegative up to half its degree,
+    # which decides the whole palindromic side
     monkeypatch.setattr(solver, "excluded_vectors", lambda case: ((1, 1, 1, 1),))
     with pytest.raises(CertificateMissing):
         negative_certificates("p2q", (5, 3))
+
+
+def test_enumeration_expands_sides_only_to_half_their_degree(limits):
+    # a side of two m-sided dice has degree at most 2m - 2 without its x, and
+    # being palindromic it is decided by its coefficients up to m - 1
+    for m in (12, 30, 36, 60):
+        limits.clear()
+        enumerate_pairs(m)
+        assert max(limits) <= m - 1, m
 
 
 def test_case_vectors_need_four_exponents():
@@ -459,7 +479,7 @@ def test_excluded_splits_are_skipped_by_enumeration():
 
 # -- the enumeration's pruning against a plain referee ------------------------
 
-# Unordered pair counts of sizes where the prefilter rejects most sides.
+# Unordered pair counts of sizes where the expansion to x^16 rejects most sides.
 PAIR_COUNTS = {36: 57, 60: 125, 72: 348, 96: 583}
 
 REFEREE_PROBLEMS = {
@@ -474,8 +494,8 @@ REFEREE_PROBLEMS = {
 
 
 def referee_enumeration(problem):
-    """Every split expanded in full, with only the E_1 skip: no prefilter and
-    no complement symmetry."""
+    """Every split expanded in full, with only the E_1 skip: no half expansion
+    and no complement symmetry."""
     mults = _divisor_mults(problem)
     left_size, right_size = problem.face_counts
     found = {}
