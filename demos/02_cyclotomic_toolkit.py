@@ -8,7 +8,8 @@ battery of classical identities that the solver's correctness arguments
 rest on.
 """
 
-from sicherman import check_identity_suite, cyclotomic, cyclotomic_by_division, mobius
+from sicherman import cyclotomic, cyclotomic_by_division, mobius
+from sicherman.cli import main
 from sicherman.polyint import x_pow_minus_one
 
 # Route one: the Mobius-inversion product.  phi_n is a product and quotient
@@ -39,8 +40,7 @@ print("phi_105 coefficient of x^7:", cyclotomic(105)[7])
 
 # The full identity battery runs every instance of eight classical facts
 # (plus two product identities) up to a bound, with per-identity counts.
-report = check_identity_suite(30)
+# The command line prints its table; exit code 0 means every check passed.
 print()
-for line in report.lines():
-    print(line)
-print("\nall identities passed:", report.all_passed)
+code = main(["identities", "--bound", "30"])
+print("\nall identities passed:", code == 0)

@@ -1,9 +1,11 @@
 """Command line front end.
 
-Every subcommand prints either a human-readable table (default) or a JSON
-envelope {"command", "parameters", "results", "status"} with stable key
-order, so repeated runs are byte-identical.  Exit codes: 0 success, 1 a
-check failed, 2 bad usage, 3 a search cap or node budget was exceeded.
+Each subcommand returns (parameters, results, exit code) and prints nothing.
+`main` prints either a JSON envelope {"command", "parameters", "results",
+"status"} with stable key order, so repeated runs are byte-identical, or (by
+default) the subcommand's table, rendered from the parameters and results
+alone.  Exit codes: 0 success, 1 a check failed, 2 bad usage, 3 a search cap
+or node budget was exceeded.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+from functools import partial
 from typing import Optional, Sequence
 
 from .counting import count_n_dice, count_unbounded
@@ -19,6 +23,7 @@ from .cyclotomic import check_identity_suite
 from .dice import Die, DieError, sum_histogram
 from .oracle import DEFAULT_MAX_NODES, BudgetExceeded, brute_force_pairs
 from .solver import (
+    CASES,
     CertificateMissing,
     SearchCapExceeded,
     SolverError,
@@ -77,10 +82,6 @@ def _vector_json(side) -> dict[str, int]:
     return {str(d): c for d, c in side.vector.entries}
 
 
-def _vector_text(side) -> str:
-    return "[" + " ".join(f"{d}:{c}" for d, c in side.vector.entries) + "]"
-
-
 def _pair_results(pairs: Sequence[SolutionPair]) -> dict:
     dice = {side.die.labels for p in pairs for side in (p.left, p.right)}
     return {
@@ -91,88 +92,38 @@ def _pair_results(pairs: Sequence[SolutionPair]) -> dict:
     }
 
 
-def _pair_lines(title: str, pairs: Sequence[SolutionPair]) -> list[str]:
-    dice = {side.die.labels for p in pairs for side in (p.left, p.right)}
-    lines = [f"{title}: {len(pairs)} pairs, {len(dice)} distinct dice"]
-    for i, p in enumerate(pairs, 1):
-        lines.append(f"pair {i}: {p.left.die} | {p.right.die}")
-        lines.append(f"        {_vector_text(p.left)} | {_vector_text(p.right)}")
-    return lines
+# -- subcommands: each returns (parameters, results, exit code) ---------------
 
 
-def _emit(args, parameters: dict, results: dict, lines: list[str], code: int) -> int:
-    if args.format == "json":
-        envelope = {
-            "command": args.command,
-            "parameters": parameters,
-            "results": results,
-            "status": "ok" if code == EXIT_OK else "fail",
-        }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-    return code
-
-
-# -- subcommands -------------------------------------------------------------
-
-
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[dict, dict, int]:
     pairs = enumerate_pairs(args.sides, search_cap=_search_cap())
-    return _emit(
-        args,
-        {"sides": args.sides},
-        _pair_results(pairs),
-        _pair_lines(f"m={args.sides}", pairs),
-        EXIT_OK,
-    )
+    return {"sides": args.sides}, _pair_results(pairs), EXIT_OK
 
 
-def cmd_mixed(args) -> int:
+def cmd_mixed(args) -> tuple[dict, dict, int]:
     m1, m2 = _int_pair(args.sides, "--sides")
     pairs = enumerate_mixed(m1, m2, search_cap=_search_cap())
-    return _emit(
-        args,
-        {"sides": [m1, m2]},
-        _pair_results(pairs),
-        _pair_lines(f"m={m1},{m2}", pairs),
-        EXIT_OK,
-    )
+    return {"sides": [m1, m2]}, _pair_results(pairs), EXIT_OK
 
 
-def cmd_unequal(args) -> int:
+def cmd_unequal(args) -> tuple[dict, dict, int]:
     s1, s2 = _int_pair(args.targets, "--targets")
     pairs = enumerate_unequal(args.sides, s1, s2, search_cap=_search_cap())
-    return _emit(
-        args,
-        {"sides": args.sides, "targets": [s1, s2]},
-        _pair_results(pairs),
-        _pair_lines(f"m={args.sides} as {s1}x{s2}", pairs),
-        EXIT_OK,
-    )
+    return {"sides": args.sides, "targets": [s1, s2]}, _pair_results(pairs), EXIT_OK
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[dict, dict, int]:
     pair = decompose(args.sides, args.split)
     recipe = decomposition_die_labels(args.sides, args.split)
     match = recipe == pair.right.die
     results = _pair_results([pair])
     results["recipe"] = list(recipe.labels)
     results["recipe_matches"] = match
-    lines = _pair_lines(f"m={args.sides} split a={args.split}", [pair])
-    lines.append(f"recipe: {recipe}")
-    lines.append(f"recipe matches expansion: {'yes' if match else 'NO'}")
-    return _emit(
-        args,
-        {"sides": args.sides, "split": args.split},
-        results,
-        lines,
-        EXIT_OK if match else EXIT_FAIL,
-    )
+    parameters = {"sides": args.sides, "split": args.split}
+    return parameters, results, EXIT_OK if match else EXIT_FAIL
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, dict, int]:
     if len(args.die) != 2:
         raise UsageError("verify needs exactly two --die arguments")
     dice = [Die.from_text(text) for text in args.die]
@@ -186,76 +137,40 @@ def cmd_verify(args) -> int:
             first_diff = {"sum": s, "got": got.get(s, 0), "want": want.get(s, 0)}
             break
     match = first_diff is None
-    if match:
-        lines = ["MATCH"]
-    else:
-        lines = [
-            "MISMATCH at sum {sum}: got {got}, want {want}".format(**first_diff)
-        ]
-    return _emit(
-        args,
+    return (
         {"die": [d.to_text() for d in dice], "reference": args.reference},
         {"match": match, "first_difference": first_diff},
-        lines,
         EXIT_OK if match else EXIT_FAIL,
     )
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[dict, dict, int]:
     if args.dice is None:
         value = count_unbounded(args.exponent)
     else:
         value = count_n_dice(args.dice, args.exponent)
-    return _emit(
-        args,
-        {"dice": args.dice, "exponent": args.exponent},
-        {"count": value},
-        [str(value)],
-        EXIT_OK,
-    )
+    return {"dice": args.dice, "exponent": args.exponent}, {"count": value}, EXIT_OK
 
 
-def cmd_identities(args) -> int:
+def cmd_identities(args) -> tuple[dict, dict, int]:
     report = check_identity_suite(args.bound)
     results = {
         "all_passed": report.all_passed,
-        "checks": [
-            {
-                "name": c.name,
-                "cases": c.cases,
-                "passed": c.passed,
-                "counterexample": c.counterexample,
-            }
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
     }
-    return _emit(
-        args,
-        {"bound": args.bound},
-        results,
-        report.lines(),
-        EXIT_OK if report.all_passed else EXIT_FAIL,
-    )
+    return {"bound": args.bound}, results, EXIT_OK if report.all_passed else EXIT_FAIL
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[dict, dict, int]:
     pairs = brute_force_pairs(args.sides, max_nodes=args.max_nodes)
     results = {
         "pairs": [[list(a.labels), list(b.labels)] for a, b in pairs],
         "pair_count": len(pairs),
     }
-    lines = [f"m={args.sides}: {len(pairs)} pairs (brute force)"]
-    lines.extend(f"pair {i}: {a} | {b}" for i, (a, b) in enumerate(pairs, 1))
-    return _emit(
-        args,
-        {"sides": args.sides, "max_nodes": args.max_nodes},
-        results,
-        lines,
-        EXIT_OK,
-    )
+    return {"sides": args.sides, "max_nodes": args.max_nodes}, results, EXIT_OK
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple[dict, dict, int]:
     primes = _int_list(args.primes, "--primes")
     certificates = negative_certificates(args.case, primes)
     results = {
@@ -270,18 +185,69 @@ def cmd_certify(args) -> int:
             for c in certificates
         ],
     }
-    lines = [f"case {args.case}, primes {','.join(map(str, primes))}:"]
-    lines.extend(
-        f"vector {c.vector}: coefficient {c.coefficient} at x^{c.power}"
-        for c in certificates
-    )
-    return _emit(
-        args,
-        {"case": args.case, "primes": list(primes)},
-        results,
-        lines,
-        EXIT_OK,
-    )
+    return {"case": args.case, "primes": list(primes)}, results, EXIT_OK
+
+
+# -- tables: each renders (parameters, results) as lines ----------------------
+
+
+def _labels_text(labels: Sequence[int]) -> str:
+    return ",".join(map(str, labels))
+
+
+def render_pairs(title: str, parameters: dict, results: dict) -> list[str]:
+    """The pair table, headed by `title` filled in from `parameters`."""
+    lines = [
+        f"{title.format(**parameters)}: {results['pair_count']} pairs, "
+        f"{results['die_count']} distinct dice"
+    ]
+    for i, (dice, vectors) in enumerate(zip(results["pairs"], results["vectors"]), 1):
+        left, right = (" ".join(f"{d}:{c}" for d, c in v.items()) for v in vectors)
+        lines.append(f"pair {i}: {_labels_text(dice[0])} | {_labels_text(dice[1])}")
+        lines.append(f"        [{left}] | [{right}]")
+    return lines
+
+
+def render_decompose(parameters: dict, results: dict) -> list[str]:
+    return [
+        *render_pairs("m={sides} split a={split}", parameters, results),
+        f"recipe: {_labels_text(results['recipe'])}",
+        f"recipe matches expansion: {'yes' if results['recipe_matches'] else 'NO'}",
+    ]
+
+
+def render_verify(parameters: dict, results: dict) -> list[str]:
+    diff = results["first_difference"]
+    if diff is None:
+        return ["MATCH"]
+    return [f"MISMATCH at sum {diff['sum']}: got {diff['got']}, want {diff['want']}"]
+
+
+def render_count(parameters: dict, results: dict) -> list[str]:
+    return [str(results["count"])]
+
+
+def render_identities(parameters: dict, results: dict) -> list[str]:
+    return [
+        f"{c['name']}: {c['cases']} cases, "
+        + ("pass" if c["passed"] else f"FAIL at {c['counterexample']}")
+        for c in results["checks"]
+    ]
+
+
+def render_oracle(parameters: dict, results: dict) -> list[str]:
+    lines = [f"m={parameters['sides']}: {results['pair_count']} pairs (brute force)"]
+    for i, (a, b) in enumerate(results["pairs"], 1):
+        lines.append(f"pair {i}: {_labels_text(a)} | {_labels_text(b)}")
+    return lines
+
+
+def render_certify(parameters: dict, results: dict) -> list[str]:
+    lines = [f"case {results['case']}, primes {_labels_text(results['primes'])}:"]
+    for c in results["certificates"]:
+        vector, power, coefficient = tuple(c["vector"]), c["power"], c["coefficient"]
+        lines.append(f"vector {vector}: coefficient {coefficient} at x^{power}")
+    return lines
 
 
 # -- parser ------------------------------------------------------------------
@@ -294,52 +260,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--format", choices=("table", "json"), default="table",
             help="output format (default table)",
         )
-        p.set_defaults(func=func)
         return p
 
-    p = add("solve", cmd_solve, "all pairs of equal-size dice for one size")
+    p = add("solve", "all pairs of equal-size dice for one size")
+    p.set_defaults(func=cmd_solve, render=partial(render_pairs, "m={sides}"))
     p.add_argument("--sides", type=int, required=True, help="die size m")
 
-    p = add("mixed", cmd_mixed, "pairs matching two different standard sizes")
+    p = add("mixed", "pairs matching two different standard sizes")
+    p.set_defaults(
+        func=cmd_mixed, render=partial(render_pairs, "m={sides[0]},{sides[1]}")
+    )
     p.add_argument("--sides", required=True, help="sizes m1,m2")
 
-    p = add("unequal", cmd_unequal, "pairs with prescribed face counts")
+    p = add("unequal", "pairs with prescribed face counts")
+    p.set_defaults(
+        func=cmd_unequal,
+        render=partial(render_pairs, "m={sides} as {targets[0]}x{targets[1]}"),
+    )
     p.add_argument("--sides", type=int, required=True, help="die size m")
     p.add_argument("--targets", required=True, help="face counts s1,s2")
 
-    p = add("decompose", cmd_decompose, "divisor decomposition of one size")
+    p = add("decompose", "divisor decomposition of one size")
+    p.set_defaults(func=cmd_decompose, render=render_decompose)
     p.add_argument("--sides", type=int, required=True, help="die size m")
     p.add_argument("--split", type=int, required=True, help="divisor a of m")
 
-    p = add("verify", cmd_verify, "check a pair against standard dice")
+    p = add("verify", "check a pair against standard dice")
+    p.set_defaults(func=cmd_verify, render=render_verify)
     p.add_argument(
         "--die", action="append", required=True,
         help="comma-separated labels; give twice",
     )
     p.add_argument("--reference", type=int, required=True, help="standard size m")
 
-    p = add("count", cmd_count, "closed-form counts of factor splits")
+    p = add("count", "closed-form counts of factor splits")
+    p.set_defaults(func=cmd_count, render=render_count)
     p.add_argument("--dice", type=int, help="number of dice (omit for unbounded)")
     p.add_argument("--exponent", type=int, required=True, help="factor pairs k")
 
-    p = add("identities", cmd_identities, "run the cyclotomic identity battery")
+    p = add("identities", "run the cyclotomic identity battery")
+    p.set_defaults(func=cmd_identities, render=render_identities)
     p.add_argument("--bound", type=int, default=30, help="parameter bound (default 30)")
 
-    p = add("oracle", cmd_oracle, "brute-force search without factorization")
+    p = add("oracle", "brute-force search without factorization")
+    p.set_defaults(func=cmd_oracle, render=render_oracle)
     p.add_argument("--sides", type=int, required=True, help="die size m")
     p.add_argument(
         "--max-nodes", type=int, default=DEFAULT_MAX_NODES,
         help="node budget for the search",
     )
 
-    p = add("certify", cmd_certify, "negative coefficients of excluded splits")
-    p.add_argument("--case", choices=("p2q", "pqr"), required=True)
+    p = add("certify", "negative coefficients of excluded splits")
+    p.set_defaults(func=cmd_certify, render=render_certify)
+    p.add_argument("--case", choices=tuple(CASES), required=True)
     p.add_argument("--primes", required=True, help="comma-separated distinct primes")
 
     return parser
@@ -349,7 +328,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        parameters, results, code = args.func(args)
+        if args.format == "json":
+            envelope = {
+                "command": args.command,
+                "parameters": parameters,
+                "results": results,
+                "status": "ok" if code == EXIT_OK else "fail",
+            }
+            lines = [json.dumps(envelope, indent=2, sort_keys=True)]
+        else:
+            lines = args.render(parameters, results)
     except (SearchCapExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -359,6 +348,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, SolverError, DieError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .polyint import geometric
+from .polyint import one_minus_x_product
 from .solver import NotADivisor, decompose
 
 
@@ -27,11 +27,12 @@ def count_unbounded(k: int) -> int:
 def count_n_dice(n: int, k: int) -> int:
     """Splits of k factor pairs among n dice: [x^k] (1 + x + ... + x^n)^k.
 
-    For n >= k the bound never binds and this equals `count_unbounded(k)`.
+    That power is (1 - x^(n+1))^k / (1 - x)^k, expanded only to x^k.  For
+    n >= k the bound never binds and this equals `count_unbounded(k)`.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    return (geometric(n + 1) ** k)[k]
+    return one_minus_x_product({1: -k, n + 1: k}, k)[k]
 
 
 def count_two_dice_trinomial(k: int) -> int:

@@ -143,13 +143,6 @@ class IdentityReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "pass" if c.passed else f"FAIL at {c.counterexample}"
-            out.append(f"{c.name}: {c.cases} cases, {status}")
-        return out
-
 
 def _primes_up_to(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if is_prime(p)]

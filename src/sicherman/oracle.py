@@ -61,10 +61,8 @@ def brute_force_pairs(
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
 
     last = m + m2 - 1  # the largest label
-    want = [0] * (2 * last + 1)
-    for a in range(1, m + 1):
-        for b in range(1, m2 + 1):
-            want[a + b] += 1
+    # want[s] counts the face pairs (a, b), a <= m and b <= m2, with a + b = s
+    want = [max(0, min(s - 1, m, m2, m + m2 + 1 - s)) for s in range(2 * last + 1)]
 
     conv = [0] * (2 * last + 1)
     conv[2] = 1  # the forced 1-faces

@@ -454,12 +454,20 @@ def decomposition_die_labels(m: int, a: int) -> Die:
 # -- exclusion certificates -------------------------------------------------
 
 
-# Splits that pass the per-prime face-count constraints but expand with a
-# negative coefficient.  For size p^2*q the vector lists exponents of
-# (phi_p, phi_p2, phi_pq, phi_p2q) with phi_q fixed at 1; for p*q*r it lists
-# (phi_pq, phi_pr, phi_qr, phi_pqr) with phi_p, phi_q, phi_r fixed at 1.
+# The splits the paper excludes at sizes p^2*q and p*q*r: each passes the
+# per-prime face-count constraints but expands with a negative coefficient.
 EXCLUDED_P2Q = ((1, 1, 0, 2), (2, 0, 2, 2), (2, 0, 1, 2))
 EXCLUDED_PQR = ((0, 2, 2, 2), (0, 1, 2, 2), (2, 0, 0, 1), (1, 1, 1, 2))
+
+# For each case: its number of distinct primes, its excluded splits, and, from
+# the primes, the divisors d with phi_d fixed at exponent 1 and the four
+# divisors that a split's exponents belong to, in order.
+CASES = {
+    "p2q": (2, EXCLUDED_P2Q, lambda p, q: ((q,), (p, p * p, p * q, p * p * q))),
+    "pqr": (
+        3, EXCLUDED_PQR, lambda p, q, r: ((p, q, r), (p * q, p * r, q * r, p * q * r))
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -473,10 +481,14 @@ class Certificate:
     coefficient: int
 
 
-def _check_primes(case: str, primes: Sequence[int]) -> tuple[int, ...]:
-    want = {"p2q": 2, "pqr": 3}.get(case)
-    if want is None:
+def _case(case: str) -> tuple:
+    if case not in CASES:
         raise UnsupportedShape(f"unknown case {case!r}")
+    return CASES[case]
+
+
+def _check_primes(case: str, primes: Sequence[int]) -> tuple[int, ...]:
+    want = _case(case)[0]
     primes = tuple(primes)
     if len(primes) != want or len(set(primes)) != want:
         raise SolverError(f"case {case} needs {want} distinct primes, got {primes}")
@@ -489,27 +501,18 @@ def _check_primes(case: str, primes: Sequence[int]) -> tuple[int, ...]:
 def _case_vector(
     case: str, primes: Sequence[int], vector: Sequence[int]
 ) -> ExponentVector:
-    """The full exponent vector of one p^2*q or p*q*r split (see above)."""
+    """The full exponent vector of one split of `case` (see CASES)."""
     primes = _check_primes(case, primes)
     if len(vector) != 4:
         raise SolverError(f"case {case} needs 4 exponents, got {tuple(vector)}")
-    if case == "p2q":
-        p, q = primes
-        fixed, keys = (q,), (p, p * p, p * q, p * p * q)
-    else:
-        p, q, r = primes
-        fixed, keys = (p, q, r), (p * q, p * r, q * r, p * q * r)
+    fixed, keys = _case(case)[2](*primes)
     return ExponentVector.from_dict(
         {**dict.fromkeys(fixed, 1), **dict(zip(keys, vector))}
     )
 
 
 def excluded_vectors(case: str) -> tuple[tuple[int, ...], ...]:
-    if case == "p2q":
-        return EXCLUDED_P2Q
-    if case == "pqr":
-        return EXCLUDED_PQR
-    raise UnsupportedShape(f"unknown case {case!r}")
+    return _case(case)[1]
 
 
 def candidate_product(

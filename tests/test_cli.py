@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -44,6 +45,42 @@ def test_solve_json_and_table_agree(capsys):
     _, json_out, _ = run(capsys, "solve", "--sides", "12", "--format", "json")
     env = json.loads(json_out)
     assert f"{env['results']['pair_count']} pairs" in table_out
+
+
+# The SHA-256 of the default table output, recorded before the tables were
+# rendered from the JSON results, so the table bytes cannot drift.
+TABLE_GOLDENS = [
+    (["solve", "--sides", "12"], 0,
+     "03dd0ebb5193f94c779402c9cac070a23a30e27d896cfeb28e95487af2f492e0"),
+    (["mixed", "--sides", "2,8"], 0,
+     "c608958bd5e8c66549a9ee0634ddfefe02852122869abe797e6e8248bcfab965"),
+    (["unequal", "--sides", "6", "--targets", "4,9"], 0,
+     "7a21e2c13e2c86b600afc6c10486c638715dc1fbc0d9733d173addb6afde39aa"),
+    (["decompose", "--sides", "12", "--split", "3"], 0,
+     "2d425bb23c3d0f8ee713ddf685130a58aa36839a66f9e634356e7e3fe1190730"),
+    (["verify", "--die", "1,2,2,3,3,4", "--die", "1,3,4,5,6,8", "--reference", "6"],
+     0, "9160780d5c504b1c6e70039d6782e0de65a7dc60e0eaf55356ff930d2619bc6b"),
+    (["verify", "--die", "1,2,3", "--die", "1,2,3", "--reference", "6"], 1,
+     "a6872e8dd0b785c341fbc9c740420154417131cc4d81204ea9e211bb27c05de4"),
+    (["count", "--dice", "5", "--exponent", "80"], 0,
+     "a0fd3ef59720c8cc078e4b1afc1ade9c7573be830a25555331db43e123f10622"),
+    (["identities", "--bound", "12"], 0,
+     "8b7dcaa4d69cd0d39c586f913657e4026a8e004760671b87bdad39b4424eb889"),
+    (["oracle", "--sides", "12"], 0,
+     "6cc968a1296e6ac02907af4d94f4142a6ec73c5513007dd812d39d759bc790bd"),
+    (["certify", "--case", "pqr", "--primes", "2,3,5"], 0,
+     "71fad7dc25af45f667ce7ba55b06641dea1cdbfa905a7a6857bf1899fae27f47"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, want_sha", TABLE_GOLDENS,
+    ids=[" ".join(argv) for argv, _, _ in TABLE_GOLDENS],
+)
+def test_table_output_is_pinned(capsys, argv, want_code, want_sha):
+    code, out, _ = run(capsys, *argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha
 
 
 def test_solve_usage_error(capsys):

@@ -39,6 +39,7 @@ def test_unbounded_is_the_large_n_limit():
     for k in range(1, 8):
         assert count_n_dice(k, k) == count_unbounded(k)
         assert count_n_dice(k + 3, k) == count_unbounded(k)
+        assert count_n_dice(10**6, k) == count_unbounded(k)
         if k > 1:
             assert count_n_dice(k - 1, k) < count_unbounded(k)
 

