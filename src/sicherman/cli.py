@@ -4,8 +4,9 @@ Each subcommand returns (parameters, results, exit code) and prints nothing.
 `main` prints either a JSON envelope {"command", "parameters", "results",
 "status"} with stable key order, so repeated runs are byte-identical, or (by
 default) the subcommand's table, rendered from the parameters and results
-alone.  Exit codes: 0 success, 1 a check failed, 2 bad usage, 3 a search cap
-or node budget was exceeded.
+alone; integers print in full, whatever their length.  Exit codes: 0
+success, 1 a check failed, 2 bad usage, 3 a search cap or node budget was
+exceeded.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 from typing import Optional, Sequence
@@ -324,21 +326,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _any_length_integers():
+    """Lift the interpreter's limit on the digits of an int printed as text
+    (CPython 3.10.7 and later) for the block, and restore it after: a count
+    such as `count --exponent 10000` has more digits than the default 4300.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         parameters, results, code = args.func(args)
-        if args.format == "json":
-            envelope = {
-                "command": args.command,
-                "parameters": parameters,
-                "results": results,
-                "status": "ok" if code == EXIT_OK else "fail",
-            }
-            lines = [json.dumps(envelope, indent=2, sort_keys=True)]
-        else:
-            lines = args.render(parameters, results)
+        with _any_length_integers():
+            if args.format == "json":
+                envelope = {
+                    "command": args.command,
+                    "parameters": parameters,
+                    "results": results,
+                    "status": "ok" if code == EXIT_OK else "fail",
+                }
+                lines = [json.dumps(envelope, indent=2, sort_keys=True)]
+            else:
+                lines = args.render(parameters, results)
     except (SearchCapExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

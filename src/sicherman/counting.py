@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from .polyint import one_minus_x_product
 from .solver import NotADivisor, decompose
 
 
@@ -27,12 +26,18 @@ def count_unbounded(k: int) -> int:
 def count_n_dice(n: int, k: int) -> int:
     """Splits of k factor pairs among n dice: [x^k] (1 + x + ... + x^n)^k.
 
-    That power is (1 - x^(n+1))^k / (1 - x)^k, expanded only to x^k.  For
-    n >= k the bound never binds and this equals `count_unbounded(k)`.
+    That power is (1 - x^(n+1))^k / (1 - x)^k.  The j-th term of the
+    numerator, (-1)^j C(k, j) x^(j(n+1)), meets [x^(k - j(n+1))] of
+    1 / (1 - x)^k, which is C(2k - 1 - j(n+1), k - 1), so only the
+    k/(n+1) + 1 terms with j(n+1) <= k count.  For n >= k the bound never
+    binds and this equals `count_unbounded(k)`.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    return one_minus_x_product({1: -k, n + 1: k}, k)[k]
+    return sum(
+        (-1) ** j * math.comb(k, j) * math.comb(2 * k - 1 - j * (n + 1), k - 1)
+        for j in range(k // (n + 1) + 1)
+    )
 
 
 def count_two_dice_trinomial(k: int) -> int:

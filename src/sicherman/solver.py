@@ -24,6 +24,14 @@ PREFILTER_DEGREE, then to twice the last limit, until a coefficient is
 negative (the witness) or half the degree is reached.  When both dice have
 the same face count, a split and its complement give the same unordered
 pair, so only one of the two is visited.
+
+Every surviving pair is checked exactly against the frequency polynomial,
+by one big-integer product (Kronecker substitution).  Both sides have
+nonnegative coefficients, so once their values at x=1 multiply to the face
+count product F, no coefficient of their product exceeds F.  Packed as
+digits in a base above F, the sides then multiply with no carry, and the
+product equals the packed frequency polynomial exactly when the polynomials
+multiply to it.
 """
 
 from __future__ import annotations
@@ -296,13 +304,25 @@ def _expand_side(
         limit = min(2 * limit, half)
 
 
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """The coefficients as little-endian digits of `width` bytes each."""
+    return int.from_bytes(
+        b"".join([c.to_bytes(width, "little") for c in coeffs]), "little"
+    )
+
+
 def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionPair]:
     cap = DEFAULT_SEARCH_CAP if search_cap is None else search_cap
     if cap < 1:
         raise SolverError(f"search_cap must be at least 1, got {cap}")
     mults = _divisor_mults(problem)
     left_size, right_size = problem.face_counts
-    freq = frequency_poly(problem)
+    faces = left_size * right_size
+    # Digits of `width` bytes hold every value up to `faces`, which bounds
+    # every coefficient of a product of two nonnegative sides that multiply
+    # to `faces` at x=1.
+    width = (faces.bit_length() + 7) // 8
+    packed_freq = _pack(frequency_poly(problem).coeffs, width)
     symmetric = left_size == right_size
     axes = _candidate_axes(mults, left_size, cap)
 
@@ -356,7 +376,11 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
             if right_poly is None:
                 continue
             left_vector = vector(left_net)
-            if left_poly * right_poly != freq:
+            if (
+                left_poly.eval_at_one() * right_poly.eval_at_one() != faces
+                or _pack(left_poly.coeffs, width) * _pack(right_poly.coeffs, width)
+                != packed_freq
+            ):
                 raise AssertionError(
                     f"split {left_vector} does not multiply back to the frequency poly"
                 )

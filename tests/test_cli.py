@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -182,6 +184,18 @@ def test_count(capsys):
     assert code == 0 and out.strip() == "51"
     code, _, _ = run(capsys, "count", "--dice", "2", "--exponent", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_count_prints_answers_of_any_length(capsys, fmt):
+    # C(19999, 9999) has 6018 digits, above the interpreter's default limit
+    # of 4300 on int-to-text conversion; Decimal parses text without it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "count", "--exponent", "10000", "--format", fmt)
+    assert code == 0 and err == ""
+    text = json.loads(out, parse_int=str)["results"]["count"] if fmt == "json" else out
+    assert Decimal(text.strip()) == math.comb(19999, 9999)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_identities(capsys):

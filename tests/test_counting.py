@@ -8,6 +8,7 @@ from sicherman.counting import (
     triangular,
 )
 from sicherman.cyclotomic import divisors
+from sicherman.polyint import one_minus_x_product
 from sicherman.solver import NotADivisor
 
 
@@ -28,6 +29,13 @@ def test_count_n_dice():
         count_n_dice(0, 1)
     with pytest.raises(ValueError):
         count_n_dice(2, 0)
+
+
+def test_inclusion_exclusion_matches_series_expansion():
+    for n in range(1, 9):
+        for k in range(1, 60):
+            series = one_minus_x_product({1: -k, n + 1: k}, k)
+            assert count_n_dice(n, k) == series[k], (n, k)
 
 
 def test_trinomial_form_agrees_with_poly_power():

@@ -477,6 +477,32 @@ def test_excluded_splits_are_skipped_by_enumeration():
         assert vec.entries not in seen
 
 
+def _move_last_up(coeffs):
+    # the top coefficient one power higher: the same value at x=1
+    return [*coeffs[:-1], 0, coeffs[-1]]
+
+
+def _raise_last(coeffs):
+    # the top coefficient one larger: the value at x=1 changes too
+    return [*coeffs[:-1], coeffs[-1] + 1]
+
+
+@pytest.mark.parametrize("change", [_move_last_up, _raise_last])
+@pytest.mark.parametrize("problem", [Problem.equal(6), Problem.unequal_targets(6, 4, 9)])
+def test_product_check_rejects_a_wrong_side(monkeypatch, change, problem):
+    # every surviving pair is multiplied back to the frequency polynomial, so
+    # a side that is wrong but still nonnegative cannot pass
+    expand_side = solver._expand_side
+
+    def wrong_side(net):
+        poly, witness = expand_side(net)
+        return (None if poly is None else IntPoly(change(poly.coeffs))), witness
+
+    monkeypatch.setattr(solver, "_expand_side", wrong_side)
+    with pytest.raises(AssertionError, match="does not multiply back"):
+        solve(problem)
+
+
 # -- the enumeration's pruning against a plain referee ------------------------
 
 # Unordered pair counts of sizes where the expansion to x^16 rejects most sides.
