@@ -13,17 +13,30 @@ Since phi_d = prod over k | d of (1 - x^k)^mobius(d/k) for d > 1, every side
 is also x * prod((1 - x^k)^E_k) with net exponents E_k (`net_exponents`), and
 is expanded that way.  The search loop carries each split only as the left
 side's net exponents; the exponent vectors of a surviving pair come back by
-Mobius inversion, c_d = sum of E_k over the multiples k of d.  Only k = 1
-reaches x^1, so -E_1 is the linear coefficient; every enumeration skips a
-split with E_1 > 0 on either side.
+Mobius inversion, c_d = sum of E_k over the multiples k of d.
 
-One rule, `_expand_side`, decides every side in the enumeration and in
-`certify`.  A side body is a product of palindromic phi_d, d > 1, so its
-lower half decides it and determines the rest: that half is expanded to
-PREFILTER_DEGREE, then to twice the last limit, until a coefficient is
-negative (the witness) or half the degree is reached.  When both dice have
-the same face count, a split and its complement give the same unordered
-pair, so only one of the two is visited.
+The choices that make up a split fall into two halves, heads and tails.  A
+split's left net exponents are a head's plus a tail's, and its right ones
+are what the head leaves of its half's whole multiplicities plus what the
+tail leaves of its half's, so each side's body is the product of a head
+series and a tail series.  Up to x^L, where L is PREFILTER_DEGREE or less
+for small dice, every split is decided at once (`_prefix_survivors`): each
+tail's two series are expanded once and packed as one slot of 2L + 1
+digits, and each head takes one big-integer product per side (Kronecker
+substitution).  The digit width comes from a bound proven by the triangle
+inequality, with a bias that leaves a digit's top bit set exactly when its
+coefficient is nonnegative.  Since -E_1 is the linear coefficient and L is
+at least 1, this rejects every split with E_1 > 0 on either side.  Only
+the splits that pass go on to the complement skip, the full rule and the
+product check below.
+
+One rule, `_expand_side`, decides every split that passes the prefix, and
+every side in `certify`.  A side body is a product of palindromic phi_d,
+d > 1, so its lower half decides it and determines the rest: that half is
+expanded to PREFILTER_DEGREE, then to twice the last limit, until a
+coefficient is negative (the witness) or half the degree is reached.  When
+both dice have the same face count, a split and its complement give the
+same unordered pair, so only one of the two is visited.
 
 Every surviving pair is checked exactly against the frequency polynomial,
 by one big-integer product (Kronecker substitution).  Both sides have
@@ -38,8 +51,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import prod
 from operator import add, sub
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cyclotomic import CyclotomicCache, divisors, is_prime, mobius, prime_factors
 from .dice import Die, die_to_poly, poly_to_die
@@ -123,9 +137,10 @@ def _check_size(m: int) -> None:
 
 
 def frequency_poly(problem: Problem) -> IntPoly:
-    """Product of the standard generating polynomials of problem.sizes."""
+    """Product of the standard generating polynomials of problem.sizes: the
+    sum s + 1 comes up in min(s, m1, m2, m1 + m2 - s) ways."""
     m1, m2 = problem.sizes
-    return die_to_poly(Die.standard(m1)) * die_to_poly(Die.standard(m2))
+    return IntPoly([0, 0, *[min(s, m1, m2, m1 + m2 - s) for s in range(1, m1 + m2)]])
 
 
 @dataclass(frozen=True)
@@ -311,6 +326,144 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     )
 
 
+def _prefix_limit(problem: Problem) -> int:
+    """The last power the prefix mask decides: PREFILTER_DEGREE, as where
+    `_expand_side` first stops, or half the body degree of a standard die
+    with the smaller face count, but never below x^1, whose coefficient -E_1
+    rejects most splits."""
+    return min(PREFILTER_DEGREE, max(1, (min(problem.face_counts) - 1) // 2))
+
+
+def _prefix(ks: Sequence[int], net: Iterable[int], limit: int) -> list[int]:
+    """The coefficients of x^0 .. x^limit of prod((1 - x^k)^E_k), for net
+    exponents aligned to `ks`."""
+    series = one_minus_x_product({k: e for k, e in zip(ks, net) if e}, limit)
+    return [*series.coeffs, *[0] * (limit + 1 - len(series.coeffs))]
+
+
+Rows = list[tuple[int, ...]]
+
+
+def _prefix_pairs(
+    ks: Sequence[int], rows: Rows, full: tuple[int, ...], limit: int
+) -> list[tuple[list[int], list[int]]]:
+    """The (left, right) prefix series of each row: of its net exponents and
+    of what it leaves of `full`.  Where that remainder is itself a row, as
+    every one is when both dice have the same face count, its series is
+    shared."""
+    left = [_prefix(ks, row, limit) for row in rows]
+    by_row = dict(zip(rows, left))
+    pairs = []
+    for row, series in zip(rows, left):
+        rest = tuple(map(sub, full, row))
+        pairs.append((series, by_row.get(rest) or _prefix(ks, rest, limit)))
+    return pairs
+
+
+def _prefix_survivors(
+    heads: Sequence[tuple[Sequence[int], Sequence[int]]],
+    tails: Sequence[tuple[Sequence[int], Sequence[int]]],
+    limit: int,
+) -> Iterator[list[int]]:
+    """For each head, the indices of the tails whose products with it, left
+    series by left and right by right, have no negative coefficient of x^0
+    .. x^limit.  Every series lists exactly those limit + 1 coefficients.
+
+    The tails' series are packed once, each as one slot of 2 * limit + 1
+    digits, which hold a whole product, and a head then needs one product
+    per side.  A bias of half the digit base makes a digit's top bit the
+    sign of its coefficient.  The two products are ANDed, the top bytes of
+    each slot's first limit + 1 digits are read as byte columns, one byte
+    per tail, and the columns are ANDed, so bit 7 of a tail's byte is set
+    exactly when both of its products pass.
+    """
+    if not heads or not tails:
+        return
+    n = limit + 1
+    slot = 2 * limit + 1
+    # By the triangle inequality |[x^i] h t| <= sum over j of |h_j| |t_(i-j)|
+    # <= sum over j of hmax_j tmax_(i-j), where hmax_j (tmax_j) is the largest
+    # |coefficient of x^j| over every head (tail) series.  Digits of `width`
+    # bytes hold that bound, every series coefficient and a sign bit, so no
+    # biased digit carries.
+    hmax = IntPoly(map(max, *[map(abs, s) for h in heads for s in h]))
+    tmax = IntPoly(map(max, *[map(abs, s) for t in tails for s in t]))
+    bound = max([0, *(hmax * tmax).coeffs, *hmax.coeffs, *tmax.coeffs])
+    width = (bound.bit_length() + 8) // 8
+    top = 1 << (8 * width - 1)
+    top_digit = top.to_bytes(width, "little")
+
+    def biased(rows: list[Sequence[int]], size: int) -> bytes:
+        # each row as `size` little-endian digits, each coefficient plus top
+        pad = [0] * (size - n)
+        return b"".join(
+            [(c + top).to_bytes(width, "little") for row in rows for c in [*row, *pad]]
+        )
+
+    bias = int.from_bytes(top_digit * (slot * len(tails)), "little")
+    left_tails = int.from_bytes(biased([t[0] for t in tails], slot), "little") - bias
+    right_tails = int.from_bytes(biased([t[1] for t in tails], slot), "little") - bias
+    left_heads = biased([h[0] for h in heads], n)
+    right_heads = biased([h[1] for h in heads], n)
+    head_size = n * width
+    head_bias = int.from_bytes(top_digit * n, "little")
+    signs = int.from_bytes(b"\x80" * len(tails), "little")
+    stride = slot * width
+    for at in range(0, len(left_heads), head_size):
+        left = int.from_bytes(left_heads[at : at + head_size], "little") - head_bias
+        right = int.from_bytes(right_heads[at : at + head_size], "little") - head_bias
+        passed = (left * left_tails + bias) & (right * right_tails + bias)
+        data = passed.to_bytes(stride * len(tails), "little")
+        column = signs
+        for i in range(width - 1, head_size, width):
+            column &= int.from_bytes(data[i::stride], "little")
+        flags = column.to_bytes(len(tails), "little")
+        found = []
+        j = flags.find(0x80)
+        while j >= 0:
+            found.append(j)
+            j = flags.find(0x80, j + 1)
+        yield found
+
+
+def _halves(
+    mults: dict[int, int], left_size: int, cap: int
+) -> tuple[list[int], list[int], list[tuple[Rows, tuple[int, ...]]]]:
+    """(divs, ks, [(head, head_full), (tail, tail_full)]) for the splits
+    with `left_size` faces.
+
+    A split is the left side's net exponents, aligned to `ks` (so E_1 comes
+    first): a head row plus a tail row, each the sum of one option per axis
+    of its half.  A half's full row takes every divisor of its axes at its
+    whole multiplicity, so the right side's net exponents are what the head
+    leaves of head_full plus what the tail leaves of tail_full.
+    """
+    axes = _candidate_axes(mults, left_size, cap)
+    divs = [d for slots, _ in axes for d in slots]
+    ks = [1, *sorted(divs)]  # every k that divides some d in divs
+
+    def net_row(slots: Sequence[int], exps: Sequence[int]) -> tuple[int, ...]:
+        net = net_exponents(ExponentVector.from_dict(dict(zip(slots, exps))))
+        return tuple(net.get(k, 0) for k in ks)
+
+    rows = [[net_row(slots, exps) for exps in options] for slots, options in axes]
+    # Each head and each tail is expanded once, so the axes are cut where
+    # heads and tails together are fewest.
+    counts = [len(options) for options in rows]
+    half = min(
+        range(len(rows) + 1), key=lambda i: prod(counts[:i]) + prod(counts[i:])
+    )
+
+    def full(part: Sequence[tuple[tuple[int, ...], list]]) -> tuple[int, ...]:
+        ds = [d for slots, _ in part for d in slots]
+        return net_row(ds, [mults[d] for d in ds])
+
+    return divs, ks, [
+        (_combine(rows[:half], len(ks)), full(axes[:half])),
+        (_combine(rows[half:], len(ks)), full(axes[half:])),
+    ]
+
+
 def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionPair]:
     cap = DEFAULT_SEARCH_CAP if search_cap is None else search_cap
     if cap < 1:
@@ -324,17 +477,8 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
     width = (faces.bit_length() + 7) // 8
     packed_freq = _pack(frequency_poly(problem).coeffs, width)
     symmetric = left_size == right_size
-    axes = _candidate_axes(mults, left_size, cap)
-
-    # A split is the left side's net exponents, aligned to `ks` (so E_1 comes
-    # first), and the right side's are what the left leaves of `total_net`.
-    # Each half of the axes is summed once, and a split adds a head to a tail.
-    divs = [d for slots, _ in axes for d in slots]
-    ks = [1, *sorted(divs)]  # every k that divides some d in divs
-
-    def net_row(slots: Sequence[int], exps: Sequence[int]) -> tuple[int, ...]:
-        net = net_exponents(ExponentVector.from_dict(dict(zip(slots, exps))))
-        return tuple(net.get(k, 0) for k in ks)
+    divs, ks, [(head, head_full), (tail, tail_full)] = _halves(mults, left_size, cap)
+    total_net = tuple(map(add, head_full, tail_full))
 
     # Mobius inversion of net_exponents: c_d is the sum of E_k over the k in
     # ks that d divides.
@@ -345,23 +489,20 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
             {d: sum([net[i] for i in idx]) for d, idx in multiples}
         )
 
-    total_net = net_row(divs, [mults[d] for d in divs])
-    rows = [[net_row(slots, exps) for exps in options] for slots, options in axes]
-    half = len(rows) // 2
-    head = _combine(rows[:half], len(ks))
-    tail = _combine(rows[half:], len(ks))
+    limit = _prefix_limit(problem)
+    survivors = _prefix_survivors(
+        _prefix_pairs(ks, head, head_full, limit),
+        _prefix_pairs(ks, tail, tail_full, limit),
+        limit,
+    )
 
     # The loop builds no tuple from an iterator: such a tuple is resized to
     # fit, and CPython then keeps up to 2000 freed tuples of every size it
     # ends at, which showed as higher peak memory.
     found: list[SolutionPair] = []
-    for head_net in head:
-        for tail_net in tail:
-            # -E_1 is the linear coefficient, so skip E_1 > 0 on either side.
-            left_e1 = head_net[0] + tail_net[0]
-            if left_e1 > 0 or left_e1 < total_net[0]:
-                continue
-            left_net = list(map(add, head_net, tail_net))
+    for head_net, passed in zip(head, survivors):
+        for j in passed:
+            left_net = list(map(add, head_net, tail[j]))
             right_net = list(map(sub, total_net, left_net))
             # With equal face counts a split and its complement give the same
             # pair once sorted, so only the smaller of the two is visited.

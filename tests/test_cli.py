@@ -85,6 +85,27 @@ def test_table_output_is_pinned(capsys, argv, want_code, want_sha):
     assert hashlib.sha256(out.encode()).hexdigest() == want_sha
 
 
+def test_solve_120_json_is_pinned(capsys):
+    # the full-expansion referee in test_solver reaches only size 40; this
+    # hash was recorded while every split was still expanded to x^16 alone
+    code, out, _ = run(capsys, "solve", "--sides", "120", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["pair_count"] == 956
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "abf89134c39669e38559a02192a120b51a418521384a5b7e1b99abd843b51618"
+    )
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    result = subprocess.run(
+        [sys.executable, "-m", "sicherman", "solve", "--sides", "6"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    code, out, _ = run(capsys, "solve", "--sides", "6")
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, "")
+
+
 def test_solve_usage_error(capsys):
     code, _, err = run(capsys, "solve", "--sides", "0")
     assert code == 2

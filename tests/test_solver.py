@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sicherman.cyclotomic import CyclotomicCache, divisors, mobius
 from sicherman.dice import Die, die_to_poly, poly_to_die, sum_histogram
@@ -114,6 +115,10 @@ def test_frequency_poly_equal_six():
 def test_frequency_poly_mixed():
     # standard 2- and 3-sided dice: sums 2..5 with frequencies 1,2,2,1
     assert frequency_poly(Problem.mixed(2, 3)) == IntPoly((0, 0, 1, 2, 2, 1))
+    for m1 in range(1, 13):
+        for m2 in range(1, 13):
+            standard = die_to_poly(Die.standard(m1)) * die_to_poly(Die.standard(m2))
+            assert frequency_poly(Problem.mixed(m1, m2)) == standard
 
 
 def test_exponent_vector():
@@ -303,7 +308,7 @@ def test_one_minus_x_exponent_is_mobius_sum():
 
 
 def test_positive_exponent_means_negative_coefficient():
-    # the E_1 skip agrees with full expansion on every candidate split
+    # E_1 > 0 means a negative linear coefficient, on every candidate split
     cache = CyclotomicCache()
     for m in (12, 18, 30):
         mults = _divisor_mults(Problem.equal(m))
@@ -315,8 +320,8 @@ def test_positive_exponent_means_negative_coefficient():
 @pytest.mark.parametrize("name", NET_EXPONENT_PROBLEMS)
 def test_net_exponents_match_direct_expansion(name):
     # x * prod(phi_d^c_d) == x * prod((1 - x^k)^E_k) on both sides of every
-    # candidate, and -E_1 is the linear coefficient, which makes the
-    # enumeration's E_1 > 0 skip exact for every problem kind
+    # candidate, and -E_1 is the linear coefficient, so the prefix mask
+    # rejects every side with E_1 > 0, for every problem kind
     problem = NET_EXPONENT_PROBLEMS[name]
     cache = CyclotomicCache()
     mults = _divisor_mults(problem)
@@ -426,6 +431,72 @@ def test_enumeration_expands_sides_only_to_half_their_degree(limits):
         limits.clear()
         enumerate_pairs(m)
         assert max(limits) <= m - 1, m
+
+
+# -- the packed prefix mask against the rule that decides every side ---------
+
+MASK_PROBLEMS = {
+    **NET_EXPONENT_PROBLEMS,
+    "equal-60": Problem.equal(60),
+    "unequal-12-72x2": Problem.unequal_targets(12, 72, 2),
+}
+
+
+@pytest.mark.parametrize("name", MASK_PROBLEMS)
+def test_prefix_mask_matches_expand_side(name):
+    # on every split, the mask passes it exactly when _expand_side finds no
+    # negative coefficient at or below x^L on either side
+    problem = MASK_PROBLEMS[name]
+    limit = solver._prefix_limit(problem)
+    _, ks, [(head, head_full), (tail, tail_full)] = solver._halves(
+        _divisor_mults(problem), problem.face_counts[0], 10**7
+    )
+    total = [a + b for a, b in zip(head_full, tail_full)]
+    masks = solver._prefix_survivors(
+        solver._prefix_pairs(ks, head, head_full, limit),
+        solver._prefix_pairs(ks, tail, tail_full, limit),
+        limit,
+    )
+    for h, passed in zip(head, masks, strict=True):
+        for j, t in enumerate(tail):
+            left = [a + b for a, b in zip(h, t)]
+            right = [a - b for a, b in zip(total, left)]
+            witnesses = [
+                solver._expand_side(dict(zip(ks, side)))[1] for side in (left, right)
+            ]
+            slow = all(w is None or w[0] > limit for w in witnesses)
+            assert (j in passed) == slow, (h, t)
+
+
+def test_prefix_mask_holds_a_coefficient_at_its_bound():
+    # all-ones series to x^127: the products' x^127 coefficient is 128, the
+    # bound the digit width is chosen from, and must still read nonnegative
+    ones = [1] * 128
+    assert list(solver._prefix_survivors([(ones, ones)], [(ones, ones)], 127)) == [[0]]
+
+
+def truncated_product_nonnegative(a, b):
+    return all(sum(a[j] * b[i - j] for j in range(i + 1)) >= 0 for i in range(len(a)))
+
+
+@given(st.data())
+def test_prefix_mask_matches_direct_products(data):
+    # small random series, zero constant terms included, against each
+    # truncated product expanded directly
+    limit = data.draw(st.integers(0, 6))
+    series = st.lists(st.integers(-3, 3), min_size=limit + 1, max_size=limit + 1)
+    pairs = st.lists(st.tuples(series, series), min_size=1, max_size=6)
+    heads, tails = data.draw(pairs), data.draw(pairs)
+    want = [
+        [
+            j
+            for j, (tail_left, tail_right) in enumerate(tails)
+            if truncated_product_nonnegative(left, tail_left)
+            and truncated_product_nonnegative(right, tail_right)
+        ]
+        for left, right in heads
+    ]
+    assert list(solver._prefix_survivors(heads, tails, limit)) == want
 
 
 def test_case_vectors_need_four_exponents():
