@@ -50,6 +50,21 @@ def brute_force_pairs(
     which is the largest label any solution can use (the other die's 1
     leaves the largest sum m + m2).  Raises BudgetExceeded when more than
     max_nodes assignments are tried.
+
+    When the sizes are equal, the search breaks the symmetry between the
+    dice: while the two have held equally many faces of every value so
+    far, it tries only splits that give the first die at least as many
+    faces of the next value.  At the first value where the counts differ
+    the first die holds more of it, so its labels sort first, and each
+    unordered pair is reached exactly once.  Each split is tested against
+    the sum table before it is written into it, so a rejected split costs
+    no undo.  Pairs come out in the order the search reaches them, which
+    is sorted by labels.
+
+    >>> for a, b in brute_force_pairs(4):
+    ...     print(a.labels, b.labels)
+    (1, 2, 2, 3) (1, 3, 3, 5)
+    (1, 2, 3, 4) (1, 2, 3, 4)
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -70,7 +85,7 @@ def brute_force_pairs(
     # that carries a face on the current branch, in increasing value
     placed = [(1, 1, 1)]
     nodes = 0
-    found: dict[tuple, tuple[Die, Die]] = {}
+    found: list[tuple[Die, Die]] = []
 
     def emit() -> None:
         if conv != want:
@@ -78,44 +93,49 @@ def brute_force_pairs(
         labels_a = [v for v, da, _ in placed for _ in range(da)]
         labels_b = [v for v, _, db in placed for _ in range(db)]
         pair = (Die(tuple(labels_a)), Die(tuple(labels_b)))
-        if m == m2 and pair[1].labels < pair[0].labels:
-            pair = (pair[1], pair[0])
         if not verify_pair_against_standard(pair[0], pair[1], m, m2):
             raise AssertionError(f"search produced a bad pair {pair}")
-        found.setdefault((pair[0].labels, pair[1].labels), pair)
+        found.append(pair)
 
-    def shift(v: int, da: int, db: int, sign: int) -> bool:
-        """Add (sign 1) or take back (sign -1) in conv the sums that da and db
-        faces of value v make with every placed face and with each other;
-        return whether conv stays within want."""
-        ok = True
+    def fits(v: int, da: int, db: int) -> bool:
+        """Whether the sums that da and db faces of value v make with every
+        placed face and with each other keep conv within want; conv is
+        only read.  Every placed value is below v, so each sum is hit once."""
         for u, ua, ub in placed:
             s = v + u
-            conv[s] += sign * (da * ub + ua * db)
-            if conv[s] > want[s]:
-                ok = False
-        conv[2 * v] += sign * da * db
-        return ok and conv[2 * v] <= want[2 * v]
+            if conv[s] + da * ub + ua * db > want[s]:
+                return False
+        return conv[2 * v] + da * db <= want[2 * v]
 
-    def frame(v: int, count_a: int, count_b: int) -> tuple:
+    def shift(v: int, da: int, db: int, sign: int) -> None:
+        """Add (sign 1) or take back (sign -1) in conv the sums that da and db
+        faces of value v make with every placed face and with each other."""
+        for u, ua, ub in placed:
+            conv[v + u] += sign * (da * ub + ua * db)
+        conv[2 * v] += sign * da * db
+
+    def frame(v: int, count_a: int, count_b: int, tied: bool) -> tuple:
         """Enter value v: emit a finished pair, else set out the faces of
         value v to try, as the total t and the counts da for the first die,
-        the larger da first."""
+        the larger da first.  A tied frame, where the dice have equal sizes
+        and equal counts of every value below v, tries only da >= t - da."""
         if count_a == m and count_b == m2:
             emit()
-            return v, count_a, count_b, 0, range(0)
+            return v, count_a, count_b, 0, tied, range(0)
         if v > last:
-            return v, count_a, count_b, 0, range(0)
+            return v, count_a, count_b, 0, tied, range(0)
         t = want[v + 1] - conv[v + 1]
         hi = min(t, m - count_a)
         lo = max(0, t - (m2 - count_b))
-        return v, count_a, count_b, t, iter(range(hi, lo - 1, -1))
+        if tied:
+            lo = max(lo, (t + 1) // 2)
+        return v, count_a, count_b, t, tied, iter(range(hi, lo - 1, -1))
 
     # One frame per label value on the current branch.  A frame whose trials
     # are used up is popped, and the trial its parent placed is undone.
-    stack = [frame(2, 1, 1)]
+    stack = [frame(2, 1, 1, m == m2)]
     while stack:
-        v, count_a, count_b, t, trials = stack[-1]
+        v, count_a, count_b, t, tied, trials = stack[-1]
         for da in trials:
             db = t - da
             nodes += 1
@@ -123,18 +143,18 @@ def brute_force_pairs(
                 sizes = f"size {m}" if m == m2 else f"sizes {m}x{m2}"
                 raise BudgetExceeded(f"more than {max_nodes} nodes at {sizes}")
             if t:  # t == 0 places no face of value v
-                if not shift(v, da, db, 1):
-                    shift(v, da, db, -1)
+                if not fits(v, da, db):
                     continue
+                shift(v, da, db, 1)
                 placed.append((v, da, db))
-            stack.append(frame(v + 1, count_a + da, count_b + db))
+            stack.append(frame(v + 1, count_a + da, count_b + db, tied and da == db))
             break
         else:
             stack.pop()
             if stack and placed[-1][0] == v - 1:
                 _, da, db = placed.pop()
                 shift(v - 1, da, db, -1)
-    return sorted(found.values(), key=lambda pair: (pair[0].labels, pair[1].labels))
+    return found
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Brute-force search, and the sweep that probes the coprime-sizes guess."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sicherman.dice import Die, sum_histogram
 from sicherman.oracle import (
@@ -9,7 +10,7 @@ from sicherman.oracle import (
     conjecture_sweep,
     verify_pair_against_standard,
 )
-from sicherman.solver import enumerate_pairs
+from sicherman.solver import enumerate_mixed, enumerate_pairs
 
 
 def test_verify_pair_against_standard():
@@ -36,10 +37,26 @@ def test_brute_force_four():
 
 
 def test_brute_force_matches_solver():
-    # every equal size up to 12, where a wrong symmetry skip would first show
-    for m in range(1, 13):
-        brute = {(a.labels, b.labels) for a, b in brute_force_pairs(m)}
-        assert brute == {p.labels for p in enumerate_pairs(m)}
+    # every equal size up to 18, where a wrong symmetry skip would show;
+    # 16 = 2^4 has 10 pairs and the p^2 q size 18 has 8.  The tie rule
+    # reaches each pair once, smaller die first, in sorted order.
+    for m in range(1, 19):
+        brute = [(a.labels, b.labels) for a, b in brute_force_pairs(m)]
+        assert set(brute) == {p.labels for p in enumerate_pairs(m)}
+        assert all(a <= b for a, b in brute)
+        assert brute == sorted(set(brute))
+
+
+@given(st.integers(1, 10), st.integers(1, 10))
+def test_brute_force_matches_solver_on_two_sizes(m, m2):
+    # two sizes, coprime or not; the tie rule is off unless m == m2
+    pairs = brute_force_pairs(m, m2=m2)
+    assert {(a.labels, b.labels) for a, b in pairs} == {
+        p.labels for p in enumerate_mixed(m, m2)
+    }
+    standard = sum_histogram([Die.standard(m), Die.standard(m2)])
+    for a, b in pairs:
+        assert sum_histogram([a, b]) == standard
 
 
 def test_brute_force_two_sizes():
@@ -68,8 +85,8 @@ def test_node_budget():
 
 def test_node_budget_boundaries():
     # the smallest budgets that finish, which pin the order the search
-    # tries its nodes in
-    boundaries = ((6, 6, 77), (9, 9, 642), (12, 12, 4751), (5, 6, 49), (6, 5, 49))
+    # tries its nodes in; equal sizes search one orientation of each pair
+    boundaries = ((6, 6, 41), (9, 9, 325), (12, 12, 2381), (5, 6, 49), (6, 5, 49))
     for m, m2, budget in boundaries:
         assert brute_force_pairs(m, m2=m2, max_nodes=budget)
         with pytest.raises(BudgetExceeded):
