@@ -3,9 +3,12 @@
 `brute_force_pairs` searches over label multisets directly: labels are
 assigned value by value, and the running sum-frequency table both forces
 the number of faces carrying each value and prunes dead branches.  The
-search keeps its own stack, so its depth is not bound by Python's
-recursion limit.  Nothing here knows about polynomial factors, so
-agreement with the solver is a meaningful check.
+table and each die's face counts are packed into one integer apiece, a
+fixed-width digit per value, so placing the faces of a value is a few
+big-integer operations and its test one mask.  The search keeps its own
+stack, so its depth is not bound by Python's recursion limit.  Nothing
+here knows about polynomial factors, so agreement with the solver is a
+meaningful check.
 """
 
 from __future__ import annotations
@@ -49,17 +52,29 @@ def brute_force_pairs(
     of each value the two dice hold together.  Labels run up to m + m2 - 1,
     which is the largest label any solution can use (the other die's 1
     leaves the largest sum m + m2).  Raises BudgetExceeded when more than
-    max_nodes assignments are tried.
+    max_nodes assignments are tried, and at once when max_nodes is below
+    max(m, m2) - 1: every finished search tries one node for each value
+    2 .. max(m, m2) on its way to the standard pair.
 
     When the sizes are equal, the search breaks the symmetry between the
     dice: while the two have held equally many faces of every value so
     far, it tries only splits that give the first die at least as many
     faces of the next value.  At the first value where the counts differ
     the first die holds more of it, so its labels sort first, and each
-    unordered pair is reached exactly once.  Each split is tested against
-    the sum table before it is written into it, so a rejected split costs
-    no undo.  Pairs come out in the order the search reaches them, which
-    is sorted by labels.
+    unordered pair is reached exactly once.  Pairs come out in the order
+    the search reaches them, which is sorted by labels.
+
+    The search state is three integers of little-endian fixed-width
+    digits: conv, the count of placed face pairs with each sum, and pa and
+    pb, each die's face count of each value.  Placing da and db faces of
+    value v adds (da * pb + db * pa) shifted up v digits, and da * db
+    shifted up 2v digits, to conv.  A digit holds m * m2, the count of all
+    face pairs, with a top bit to spare, and the slack table holds
+    top - 1 - want[s] in digit s, where top is that bit.  So adding a trial
+    conv to the slack carries out of no digit, and sets a top bit exactly
+    where a sum passes its target: a trial fits when their sum has no top
+    bit set.  Each frame holds its own integers, so a finished branch is
+    dropped with its frame and needs no undo.
 
     >>> for a, b in brute_force_pairs(4):
     ...     print(a.labels, b.labels)
@@ -74,86 +89,94 @@ def brute_force_pairs(
         raise ValueError("m2 must be a positive integer")
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
+    sizes = f"size {m}" if m == m2 else f"sizes {m}x{m2}"
+    over_budget = f"more than {max_nodes} nodes at {sizes}"
+    if max_nodes < max(m, m2) - 1:
+        raise BudgetExceeded(over_budget)
 
     last = m + m2 - 1  # the largest label
     # want[s] counts the face pairs (a, b), a <= m and b <= m2, with a + b = s
     want = [max(0, min(s - 1, m, m2, m + m2 + 1 - s)) for s in range(2 * last + 1)]
-
-    conv = [0] * (2 * last + 1)
-    conv[2] = 1  # the forced 1-faces
-    # (value, faces on the first die, faces on the second) for each value
-    # that carries a face on the current branch, in increasing value
-    placed = [(1, 1, 1)]
+    width = ((m * m2).bit_length() + 8) // 8
+    bits = 8 * width
+    top = 1 << (bits - 1)
+    digit = (1 << bits) - 1
+    # Packed from bytes, since a sum of shifted digits takes quadratic time.
+    packed_want = int.from_bytes(
+        b"".join([w.to_bytes(width, "little") for w in want]), "little"
+    )
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(want), "little")
+    signs = ones << (bits - 1)
+    slack = signs - ones - packed_want
     nodes = 0
     found: list[tuple[Die, Die]] = []
 
-    def emit() -> None:
-        if conv != want:
+    def labels(counts: int) -> tuple[int, ...]:
+        """Each value repeated as often as its digit in `counts` says."""
+        data = counts.to_bytes(width * (last + 1), "little")
+        return tuple(
+            v
+            for v in range(1, last + 1)
+            for _ in range(int.from_bytes(data[v * width : (v + 1) * width], "little"))
+        )
+
+    def emit(conv: int, pa: int, pb: int) -> None:
+        if conv != packed_want:
             return
-        labels_a = [v for v, da, _ in placed for _ in range(da)]
-        labels_b = [v for v, _, db in placed for _ in range(db)]
-        pair = (Die(tuple(labels_a)), Die(tuple(labels_b)))
+        pair = (Die(labels(pa)), Die(labels(pb)))
         if not verify_pair_against_standard(pair[0], pair[1], m, m2):
             raise AssertionError(f"search produced a bad pair {pair}")
         found.append(pair)
 
-    def fits(v: int, da: int, db: int) -> bool:
-        """Whether the sums that da and db faces of value v make with every
-        placed face and with each other keep conv within want; conv is
-        only read.  Every placed value is below v, so each sum is hit once."""
-        for u, ua, ub in placed:
-            s = v + u
-            if conv[s] + da * ub + ua * db > want[s]:
-                return False
-        return conv[2 * v] + da * db <= want[2 * v]
-
-    def shift(v: int, da: int, db: int, sign: int) -> None:
-        """Add (sign 1) or take back (sign -1) in conv the sums that da and db
-        faces of value v make with every placed face and with each other."""
-        for u, ua, ub in placed:
-            conv[v + u] += sign * (da * ub + ua * db)
-        conv[2 * v] += sign * da * db
-
-    def frame(v: int, count_a: int, count_b: int, tied: bool) -> tuple:
+    def frame(
+        v: int, count_a: int, count_b: int, tied: bool, conv: int, pa: int, pb: int
+    ) -> tuple:
         """Enter value v: emit a finished pair, else set out the faces of
         value v to try, as the total t and the counts da for the first die,
         the larger da first.  A tied frame, where the dice have equal sizes
-        and equal counts of every value below v, tries only da >= t - da."""
+        and equal counts of every value below v, tries only da >= t - da.
+        The frame's slack covers the sums up to 2v, all that a trial can
+        reach, so each trial costs time in v, not in the size."""
         if count_a == m and count_b == m2:
-            emit()
-            return v, count_a, count_b, 0, tied, range(0)
+            emit(conv, pa, pb)
+            return v, count_a, count_b, 0, tied, range(0), conv, pa, pb, 0
         if v > last:
-            return v, count_a, count_b, 0, tied, range(0)
-        t = want[v + 1] - conv[v + 1]
+            return v, count_a, count_b, 0, tied, range(0), conv, pa, pb, 0
+        t = want[v + 1] - ((conv >> bits * (v + 1)) & digit)
         hi = min(t, m - count_a)
         lo = max(0, t - (m2 - count_b))
         if tied:
             lo = max(lo, (t + 1) // 2)
-        return v, count_a, count_b, t, tied, iter(range(hi, lo - 1, -1))
+        low_slack = slack & ((1 << bits * (2 * v + 1)) - 1)
+        trials = iter(range(hi, lo - 1, -1))
+        return v, count_a, count_b, t, tied, trials, conv, pa, pb, low_slack
 
-    # One frame per label value on the current branch.  A frame whose trials
-    # are used up is popped, and the trial its parent placed is undone.
-    stack = [frame(2, 1, 1, m == m2)]
+    # One frame per label value on the current branch, each with the tables
+    # that the values below it leave; a frame whose trials are used up is
+    # popped.
+    stack = [frame(2, 1, 1, m == m2, 1 << 2 * bits, 1 << bits, 1 << bits)]
     while stack:
-        v, count_a, count_b, t, tied, trials = stack[-1]
+        v, count_a, count_b, t, tied, trials, conv, pa, pb, low_slack = stack[-1]
+        shift = bits * v
         for da in trials:
             db = t - da
             nodes += 1
             if nodes > max_nodes:
-                sizes = f"size {m}" if m == m2 else f"sizes {m}x{m2}"
-                raise BudgetExceeded(f"more than {max_nodes} nodes at {sizes}")
+                raise BudgetExceeded(over_budget)
+            new = conv
             if t:  # t == 0 places no face of value v
-                if not fits(v, da, db):
+                new += ((da * pb + db * pa) << shift) + (da * db << 2 * shift)
+                if (new + low_slack) & signs:
                     continue
-                shift(v, da, db, 1)
-                placed.append((v, da, db))
-            stack.append(frame(v + 1, count_a + da, count_b + db, tied and da == db))
+            stack.append(
+                frame(
+                    v + 1, count_a + da, count_b + db, tied and da == db,
+                    new, pa + (da << shift), pb + (db << shift),
+                )
+            )
             break
         else:
             stack.pop()
-            if stack and placed[-1][0] == v - 1:
-                _, da, db = placed.pop()
-                shift(v - 1, da, db, -1)
     return found
 
 

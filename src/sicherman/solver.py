@@ -33,10 +33,11 @@ product check below.
 One rule, `_expand_side`, decides every split that passes the prefix, and
 every side in `certify`.  A side body is a product of palindromic phi_d,
 d > 1, so its lower half decides it and determines the rest: that half is
-expanded to PREFILTER_DEGREE, then to twice the last limit, until a
-coefficient is negative (the witness) or half the degree is reached.  When
-both dice have the same face count, a split and its complement give the
-same unordered pair, so only one of the two is visited.
+expanded to PREFILTER_DEGREE (twice that for a split the prefix has passed),
+then to twice the last limit, until a coefficient is negative (the witness)
+or half the degree is reached.  When both dice have the same face count, a
+split and its complement give the same unordered pair, so only one of the
+two is visited.
 
 Every surviving pair is checked exactly against the frequency polynomial,
 by one big-integer product (Kronecker substitution).  Both sides have
@@ -296,18 +297,20 @@ def _combine(
 
 
 def _expand_side(
-    net: Mapping[int, int],
+    net: Mapping[int, int], first: int = PREFILTER_DEGREE
 ) -> tuple[Optional[IntPoly], Optional[tuple[int, int]]]:
     """(x * prod((1 - x^k)^E_k), None) for one side's net exponents {k: E_k},
     or (None, (power, coefficient)) at the body's first negative coefficient.
 
-    A truncated expansion is exactly the low end of the full one, and the
-    first negative coefficient of a palindromic body lies at or below half
-    its degree.  The upper half of a nonnegative side mirrors the lower.
+    The body is expanded up to x^first, or half its degree if that is less,
+    and then to twice the last limit.  A truncated expansion is exactly the
+    low end of the full one, and the first negative coefficient of a
+    palindromic body lies at or below half its degree.  The upper half of a
+    nonnegative side mirrors the lower.
     """
     degree = sum(k * e for k, e in net.items())
     half = degree // 2
-    limit = min(PREFILTER_DEGREE, half)
+    limit = min(first, half)
     while True:
         lower = one_minus_x_product(net, limit)
         witness = lower.first_negative()
@@ -510,10 +513,16 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
             # complement in one form exactly when it does in the other.
             if symmetric and left_net > right_net:
                 continue
-            left_poly, _ = _expand_side({k: e for k, e in zip(ks, left_net) if e})
+            # The mask has shown both sides nonnegative up to x^limit, at most
+            # PREFILTER_DEGREE, so their expansions start at twice that.
+            left_poly, _ = _expand_side(
+                {k: e for k, e in zip(ks, left_net) if e}, 2 * PREFILTER_DEGREE
+            )
             if left_poly is None:
                 continue
-            right_poly, _ = _expand_side({k: e for k, e in zip(ks, right_net) if e})
+            right_poly, _ = _expand_side(
+                {k: e for k, e in zip(ks, right_net) if e}, 2 * PREFILTER_DEGREE
+            )
             if right_poly is None:
                 continue
             left_vector = vector(left_net)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from decimal import Decimal
@@ -248,6 +249,23 @@ def test_oracle_deep_search_exits_on_budget():
     assert result.returncode == 3
     assert result.stderr.startswith("error: more than 20000 nodes at size 600")
     assert "Traceback" not in result.stderr
+
+
+def test_oracle_budget_below_the_floor_exits_before_building():
+    # 10 nodes cannot finish a search at size 10^12, so it ends before the
+    # sum table of 4 * 10^12 entries is built; the address-space limit turns
+    # a build into a quick MemoryError rather than a machine out of memory
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "sicherman.cli", "oracle", "--sides",
+         str(10**12), "--max-nodes", "10"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 3
+    assert result.stderr == f"error: more than 10 nodes at size {10**12}\n"
 
 
 def test_oracle_rejects_nonpositive_budget(capsys):

@@ -77,16 +77,21 @@ def test_brute_force_rejects_bad_second_size():
 def test_node_budget():
     with pytest.raises(BudgetExceeded):
         brute_force_pairs(9, max_nodes=5)
-    # the sum table is built in time linear in the size, so a tiny budget
-    # ends a huge search at once
-    with pytest.raises(BudgetExceeded):
-        brute_force_pairs(10**5, max_nodes=1)
+    # every finished search tries a node for each value 2 .. max(m, m2), so
+    # a smaller budget ends a huge search before its sum table is built
+    for m, max_nodes in ((10**5, 1), (10**12, 10)):
+        with pytest.raises(BudgetExceeded, match=f"more than {max_nodes} nodes"):
+            brute_force_pairs(m, max_nodes=max_nodes)
 
 
 def test_node_budget_boundaries():
     # the smallest budgets that finish, which pin the order the search
-    # tries its nodes in; equal sizes search one orientation of each pair
-    boundaries = ((6, 6, 41), (9, 9, 325), (12, 12, 2381), (5, 6, 49), (6, 5, 49))
+    # tries its nodes in; equal sizes search one orientation of each pair.
+    # A one-faced die leaves one node per value, the floor max(m, m2) - 1.
+    boundaries = (
+        (6, 6, 41), (9, 9, 325), (12, 12, 2381), (16, 16, 28794),
+        (5, 6, 49), (6, 5, 49), (1, 7, 6), (7, 1, 6),
+    )
     for m, m2, budget in boundaries:
         assert brute_force_pairs(m, m2=m2, max_nodes=budget)
         with pytest.raises(BudgetExceeded):
