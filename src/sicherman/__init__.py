@@ -14,6 +14,7 @@ from .solver import (
     ExponentVector,
     Problem,
     SolutionPair,
+    conjecture_sweep,
     decompose,
     decomposition_die_labels,
     enumerate_mixed,
@@ -30,7 +31,7 @@ from .counting import (
     check_triangular_identity,
     triangular,
 )
-from .oracle import brute_force_pairs, conjecture_sweep
+from .oracle import brute_force_pairs
 
 __version__ = "0.1.0"
 

@@ -5,20 +5,19 @@ assigned value by value, and the running sum-frequency table both forces
 the number of faces carrying each value and prunes dead branches.  The
 table and each die's face counts are packed into one integer apiece, a
 fixed-width digit per value, so placing the faces of a value is a few
-big-integer operations and its test one mask.  The search keeps its own
-stack, so its depth is not bound by Python's recursion limit.  Nothing
-here knows about polynomial factors, so agreement with the solver is a
-meaningful check.
+big-integer operations and its test one mask.  Each branch is a generator
+that yields the branches one value up, and the search keeps a stack of
+them, so its depth is not bound by Python's recursion limit.  Nothing
+here knows about polynomial factors or imports the solver, so agreement
+with the solver is a meaningful check.  The coprime-sizes sweep, which
+runs the solver, is `solver.conjecture_sweep`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .dice import Die, sum_histogram
-from .solver import enumerate_mixed
 
 
 DEFAULT_MAX_NODES = 2_000_000
@@ -73,8 +72,13 @@ def brute_force_pairs(
     top - 1 - want[s] in digit s, where top is that bit.  So adding a trial
     conv to the slack carries out of no digit, and sets a top bit exactly
     where a sum passes its target: a trial fits when their sum has no top
-    bit set.  Each frame holds its own integers, so a finished branch is
-    dropped with its frame and needs no undo.
+    bit set.  A branch is a generator holding its own integers, which yields
+    the branch of each placement that fits; the search keeps a stack of
+    these generators, one per label value on the current branch, so a spent
+    branch is popped with its integers and nothing is undone.  A branch
+    with both dice full has every sum at or below its target, and both
+    tables sum to m * m2, so its table equals the target; each such pair is
+    still checked by face enumeration.
 
     >>> for a, b in brute_force_pairs(4):
     ...     print(a.labels, b.labels)
@@ -99,7 +103,6 @@ def brute_force_pairs(
     want = [max(0, min(s - 1, m, m2, m + m2 + 1 - s)) for s in range(2 * last + 1)]
     width = ((m * m2).bit_length() + 8) // 8
     bits = 8 * width
-    top = 1 << (bits - 1)
     digit = (1 << bits) - 1
     # Packed from bytes, since a sum of shifted digits takes quadratic time.
     packed_want = int.from_bytes(
@@ -120,104 +123,53 @@ def brute_force_pairs(
             for _ in range(int.from_bytes(data[v * width : (v + 1) * width], "little"))
         )
 
-    def emit(conv: int, pa: int, pb: int) -> None:
-        if conv != packed_want:
-            return
-        pair = (Die(labels(pa)), Die(labels(pb)))
-        if not verify_pair_against_standard(pair[0], pair[1], m, m2):
-            raise AssertionError(f"search produced a bad pair {pair}")
-        found.append(pair)
-
-    def frame(
+    def children(
         v: int, count_a: int, count_b: int, tied: bool, conv: int, pa: int, pb: int
-    ) -> tuple:
-        """Enter value v: emit a finished pair, else set out the faces of
-        value v to try, as the total t and the counts da for the first die,
-        the larger da first.  A tied frame, where the dice have equal sizes
-        and equal counts of every value below v, tries only da >= t - da.
-        The frame's slack covers the sums up to 2v, all that a trial can
-        reach, so each trial costs time in v, not in the size."""
+    ) -> Iterator[Iterator]:
+        """The branches one value up from a branch about to place value v:
+        none, once the pair is recorded, when both dice are full.  Else the
+        faces of value v to place, total t, are tried with the first die
+        taking da of them, the larger da first; a tied branch, where the
+        dice have equal sizes and equal counts of every value below v, tries
+        only da >= t - da.  The slack covers the sums up to 2v, all that a
+        trial can reach, so each trial costs time in v, not in the size."""
+        nonlocal nodes
         if count_a == m and count_b == m2:
-            emit(conv, pa, pb)
-            return v, count_a, count_b, 0, tied, range(0), conv, pa, pb, 0
+            pair = (Die(labels(pa)), Die(labels(pb)))
+            if not verify_pair_against_standard(pair[0], pair[1], m, m2):
+                raise AssertionError(f"search produced a bad pair {pair}")
+            found.append(pair)
+            return
         if v > last:
-            return v, count_a, count_b, 0, tied, range(0), conv, pa, pb, 0
+            return
         t = want[v + 1] - ((conv >> bits * (v + 1)) & digit)
-        hi = min(t, m - count_a)
         lo = max(0, t - (m2 - count_b))
         if tied:
             lo = max(lo, (t + 1) // 2)
         low_slack = slack & ((1 << bits * (2 * v + 1)) - 1)
-        trials = iter(range(hi, lo - 1, -1))
-        return v, count_a, count_b, t, tied, trials, conv, pa, pb, low_slack
-
-    # One frame per label value on the current branch, each with the tables
-    # that the values below it leave; a frame whose trials are used up is
-    # popped.
-    stack = [frame(2, 1, 1, m == m2, 1 << 2 * bits, 1 << bits, 1 << bits)]
-    while stack:
-        v, count_a, count_b, t, tied, trials, conv, pa, pb, low_slack = stack[-1]
         shift = bits * v
-        for da in trials:
-            db = t - da
+        for da in range(min(t, m - count_a), lo - 1, -1):
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExceeded(over_budget)
+            db = t - da
             new = conv
             if t:  # t == 0 places no face of value v
                 new += ((da * pb + db * pa) << shift) + (da * db << 2 * shift)
                 if (new + low_slack) & signs:
                     continue
-            stack.append(
-                frame(
-                    v + 1, count_a + da, count_b + db, tied and da == db,
-                    new, pa + (da << shift), pb + (db << shift),
-                )
+            yield children(
+                v + 1, count_a + da, count_b + db, tied and da == db,
+                new, pa + (da << shift), pb + (db << shift),
             )
-            break
-        else:
+
+    # One generator per label value on the current branch, each holding the
+    # tables that the values below it leave; a spent one is popped.
+    stack = [children(2, 1, 1, m == m2, 1 << 2 * bits, 1 << bits, 1 << bits)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
             stack.pop()
+        else:
+            stack.append(child)
     return found
-
-
-@dataclass(frozen=True)
-class SweepEntry:
-    sizes: tuple[int, int]
-    pair_count: int
-    nontrivial: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    bound: int
-    entries: tuple[SweepEntry, ...]
-
-    @property
-    def total_nontrivial(self) -> int:
-        return sum(len(e.nontrivial) for e in self.entries)
-
-
-def conjecture_sweep(bound: int) -> SweepReport:
-    """Scan coprime size pairs r < s <= bound for nonstandard relabelings.
-
-    For every coprime pair the solver is run on the mixed problem, and each
-    of its pairs besides the two standard dice is recorded as nontrivial.
-    Coprime sizes are not rigid: up to 12 there are 14 nontrivial pairs,
-    the smallest at sizes 5 and 6.  A cyclotomic factor whose order is
-    composite but not a prime power is 1 at x = 1, so it can sit on
-    either die.
-    """
-    if bound < 2:
-        raise ValueError("bound must be at least 2")
-    entries = []
-    for r in range(2, bound + 1):
-        for s in range(r + 1, bound + 1):
-            if math.gcd(r, s) != 1:
-                continue
-            pairs = enumerate_mixed(r, s)
-            standard = (Die.standard(r).labels, Die.standard(s).labels)
-            nontrivial = tuple(
-                p.labels for p in pairs if p.labels != standard
-            )
-            entries.append(SweepEntry((r, s), len(pairs), nontrivial))
-    return SweepReport(bound, tuple(entries))

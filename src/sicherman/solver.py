@@ -33,8 +33,8 @@ product check below.
 One rule, `_expand_side`, decides every split that passes the prefix, and
 every side in `certify`.  A side body is a product of palindromic phi_d,
 d > 1, so its lower half decides it and determines the rest: that half is
-expanded to PREFILTER_DEGREE (twice that for a split the prefix has passed),
-then to twice the last limit, until a coefficient is negative (the witness)
+expanded to twice PREFILTER_DEGREE, past what the prefix decides, then to
+twice the last limit, until a coefficient is negative (the witness)
 or half the degree is reached.  When both dice have the same face count, a
 split and its complement give the same unordered pair, so only one of the
 two is visited.
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -68,7 +68,8 @@ from .polyint import (
 )
 
 DEFAULT_SEARCH_CAP = 10**6
-# The first limit of a side's lower-half expansion; each later one doubles.
+# The last power the prefix mask decides.  A side's lower-half expansion
+# starts at twice it, and each later limit doubles.
 PREFILTER_DEGREE = 16
 
 
@@ -297,20 +298,21 @@ def _combine(
 
 
 def _expand_side(
-    net: Mapping[int, int], first: int = PREFILTER_DEGREE
+    net: Mapping[int, int],
 ) -> tuple[Optional[IntPoly], Optional[tuple[int, int]]]:
     """(x * prod((1 - x^k)^E_k), None) for one side's net exponents {k: E_k},
     or (None, (power, coefficient)) at the body's first negative coefficient.
 
-    The body is expanded up to x^first, or half its degree if that is less,
-    and then to twice the last limit.  A truncated expansion is exactly the
-    low end of the full one, and the first negative coefficient of a
-    palindromic body lies at or below half its degree.  The upper half of a
-    nonnegative side mirrors the lower.
+    The body is expanded up to x^(2 * PREFILTER_DEGREE), or half its degree
+    if that is less, and then to twice the last limit.  A truncated
+    expansion is exactly the low end of the full one, so the witness is the
+    first negative coefficient whatever the limits, and the first negative
+    coefficient of a palindromic body lies at or below half its degree.
+    The upper half of a nonnegative side mirrors the lower.
     """
     degree = sum(k * e for k, e in net.items())
     half = degree // 2
-    limit = min(first, half)
+    limit = min(2 * PREFILTER_DEGREE, half)
     while True:
         lower = one_minus_x_product(net, limit)
         witness = lower.first_negative()
@@ -330,10 +332,9 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
 
 
 def _prefix_limit(problem: Problem) -> int:
-    """The last power the prefix mask decides: PREFILTER_DEGREE, as where
-    `_expand_side` first stops, or half the body degree of a standard die
-    with the smaller face count, but never below x^1, whose coefficient -E_1
-    rejects most splits."""
+    """The last power the prefix mask decides: PREFILTER_DEGREE, or half
+    the body degree of a standard die with the smaller face count, but never
+    below x^1, whose coefficient -E_1 rejects most splits."""
     return min(PREFILTER_DEGREE, max(1, (min(problem.face_counts) - 1) // 2))
 
 
@@ -394,31 +395,22 @@ def _prefix_survivors(
     bound = max([0, *(hmax * tmax).coeffs, *hmax.coeffs, *tmax.coeffs])
     width = (bound.bit_length() + 8) // 8
     top = 1 << (8 * width - 1)
-    top_digit = top.to_bytes(width, "little")
-
-    def biased(rows: list[Sequence[int]], size: int) -> bytes:
-        # each row as `size` little-endian digits, each coefficient plus top
-        pad = [0] * (size - n)
-        return b"".join(
-            [(c + top).to_bytes(width, "little") for row in rows for c in [*row, *pad]]
-        )
-
-    bias = int.from_bytes(top_digit * (slot * len(tails)), "little")
-    left_tails = int.from_bytes(biased([t[0] for t in tails], slot), "little") - bias
-    right_tails = int.from_bytes(biased([t[1] for t in tails], slot), "little") - bias
-    left_heads = biased([h[0] for h in heads], n)
-    right_heads = biased([h[1] for h in heads], n)
-    head_size = n * width
-    head_bias = int.from_bytes(top_digit * n, "little")
+    # Each coefficient is packed plus top, so that no digit is negative, and
+    # the bias is taken off the packed integer.
+    pad = [0] * limit
+    bias = _pack([top] * (slot * len(tails)), width)
+    left_tails = _pack([c + top for t in tails for c in [*t[0], *pad]], width) - bias
+    right_tails = _pack([c + top for t in tails for c in [*t[1], *pad]], width) - bias
+    head_bias = _pack([top] * n, width)
     signs = int.from_bytes(b"\x80" * len(tails), "little")
     stride = slot * width
-    for at in range(0, len(left_heads), head_size):
-        left = int.from_bytes(left_heads[at : at + head_size], "little") - head_bias
-        right = int.from_bytes(right_heads[at : at + head_size], "little") - head_bias
+    for left_head, right_head in heads:
+        left = _pack([c + top for c in left_head], width) - head_bias
+        right = _pack([c + top for c in right_head], width) - head_bias
         passed = (left * left_tails + bias) & (right * right_tails + bias)
         data = passed.to_bytes(stride * len(tails), "little")
         column = signs
-        for i in range(width - 1, head_size, width):
+        for i in range(width - 1, n * width, width):
             column &= int.from_bytes(data[i::stride], "little")
         flags = column.to_bytes(len(tails), "little")
         found = []
@@ -513,16 +505,10 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
             # complement in one form exactly when it does in the other.
             if symmetric and left_net > right_net:
                 continue
-            # The mask has shown both sides nonnegative up to x^limit, at most
-            # PREFILTER_DEGREE, so their expansions start at twice that.
-            left_poly, _ = _expand_side(
-                {k: e for k, e in zip(ks, left_net) if e}, 2 * PREFILTER_DEGREE
-            )
+            left_poly, _ = _expand_side({k: e for k, e in zip(ks, left_net) if e})
             if left_poly is None:
                 continue
-            right_poly, _ = _expand_side(
-                {k: e for k, e in zip(ks, right_net) if e}, 2 * PREFILTER_DEGREE
-            )
+            right_poly, _ = _expand_side({k: e for k, e in zip(ks, right_net) if e})
             if right_poly is None:
                 continue
             left_vector = vector(left_net)
@@ -560,6 +546,49 @@ def enumerate_mixed(
     The left die of every returned pair has m1 faces.
     """
     return _enumerate(Problem.mixed(m1, m2), search_cap=search_cap)
+
+
+@dataclass(frozen=True)
+class SweepEntry:
+    sizes: tuple[int, int]
+    pair_count: int
+    nontrivial: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    bound: int
+    entries: tuple[SweepEntry, ...]
+
+    @property
+    def total_nontrivial(self) -> int:
+        return sum(len(e.nontrivial) for e in self.entries)
+
+
+def conjecture_sweep(bound: int) -> SweepReport:
+    """Scan coprime size pairs r < s <= bound for nonstandard relabelings.
+
+    For every coprime pair the solver is run on the mixed problem, and each
+    of its pairs besides the two standard dice is recorded as nontrivial.
+    Coprime sizes are not rigid: up to 12 there are 14 nontrivial pairs,
+    the smallest at sizes 5 and 6.  A cyclotomic factor whose order is
+    composite but not a prime power is 1 at x = 1, so it can sit on
+    either die.
+    """
+    if bound < 2:
+        raise ValueError("bound must be at least 2")
+    entries = []
+    for r in range(2, bound + 1):
+        for s in range(r + 1, bound + 1):
+            if gcd(r, s) != 1:
+                continue
+            pairs = enumerate_mixed(r, s)
+            standard = (Die.standard(r).labels, Die.standard(s).labels)
+            nontrivial = tuple(
+                p.labels for p in pairs if p.labels != standard
+            )
+            entries.append(SweepEntry((r, s), len(pairs), nontrivial))
+    return SweepReport(bound, tuple(entries))
 
 
 def enumerate_unequal(

@@ -16,11 +16,12 @@ from sicherman.counting import (
 )
 from sicherman.cyclotomic import check_identity_suite, cyclotomic, divisors
 from sicherman.dice import Die, sum_histogram
-from sicherman.oracle import brute_force_pairs, conjecture_sweep
+from sicherman.oracle import brute_force_pairs
 from sicherman.polyint import ONE, x_pow_minus_one
 from sicherman.solver import (
     Problem,
     candidate_product,
+    conjecture_sweep,
     decompose,
     decomposition_die_labels,
     enumerate_mixed,

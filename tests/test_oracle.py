@@ -1,16 +1,19 @@
 """Brute-force search, and the sweep that probes the coprime-sizes guess."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from sicherman import oracle
 from sicherman.dice import Die, sum_histogram
 from sicherman.oracle import (
     BudgetExceeded,
     brute_force_pairs,
-    conjecture_sweep,
     verify_pair_against_standard,
 )
-from sicherman.solver import enumerate_mixed, enumerate_pairs
+from sicherman.solver import conjecture_sweep, enumerate_mixed, enumerate_pairs
 
 
 def test_verify_pair_against_standard():
@@ -109,6 +112,19 @@ def test_node_budget_must_be_positive():
     for max_nodes in (0, -1):
         with pytest.raises(ValueError, match="max_nodes"):
             brute_force_pairs(3, max_nodes=max_nodes)
+
+
+def test_oracle_imports_nothing_from_the_solver():
+    # the oracle referees the solver, so it must not share the solver's code
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    modules = []  # every module named, with the names taken from one
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules += [node.module or "", *(a.name for a in node.names)]
+    assert "dice" in modules
+    assert not [name for name in modules if "solver" in name.split(".")]
 
 
 def test_sweep_covers_coprime_pairs_only():

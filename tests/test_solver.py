@@ -565,8 +565,8 @@ def test_product_check_rejects_a_wrong_side(monkeypatch, change, problem):
     # a side that is wrong but still nonnegative cannot pass
     expand_side = solver._expand_side
 
-    def wrong_side(net, *first):
-        poly, witness = expand_side(net, *first)
+    def wrong_side(net):
+        poly, witness = expand_side(net)
         return (None if poly is None else IntPoly(change(poly.coeffs))), witness
 
     monkeypatch.setattr(solver, "_expand_side", wrong_side)
