@@ -7,6 +7,10 @@ default) the subcommand's table, rendered from the parameters and results
 alone; integers print in full, whatever their length.  Exit codes: 0
 success, 1 a check failed, 2 bad usage, 3 a search cap or node budget was
 exceeded.
+
+The argparse parser is built once per process, on the first call to
+`main`, and reused: building it costs more than most small commands, and
+each parse returns a fresh namespace, so no call sees another's arguments.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Sequence
 
 from .counting import count_n_dice, count_unbounded
@@ -255,7 +259,9 @@ def render_certify(parameters: dict, results: dict) -> list[str]:
 # -- parser ------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call only."""
     parser = argparse.ArgumentParser(
         prog="sicherman",
         description="Relabeled dice with standard sum frequencies.",
@@ -344,8 +350,7 @@ def _any_length_integers():
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         parameters, results, code = args.func(args)
         with _any_length_integers():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .solver import NotADivisor, decompose
+from .solver import check_divisor, decompose
 
 
 def count_unbounded(k: int) -> int:
@@ -65,8 +65,7 @@ def check_triangular_identity(m: int, a: int) -> bool:
     sorted by label, its first a*b face multiplicities sum to a*T_b and the
     remaining a*(b-1) sum to a*T_(b-1).
     """
-    if a < 1 or m % a:
-        raise NotADivisor(f"{a} does not divide {m}")
+    check_divisor(m, a)
     b = m // a
     if m * m != a * a * (triangular(b) + triangular(b - 1)):
         return False

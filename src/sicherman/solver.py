@@ -123,7 +123,9 @@ class Problem:
     @classmethod
     def unequal_targets(cls, m: int, s1: int, s2: int) -> Problem:
         _check_size(m)
-        if s1 < 1 or s2 < 1 or s1 * s2 != m * m:
+        if s1 < 1 or s2 < 1:
+            raise InvalidTargets(f"face counts must be positive, got {s1},{s2}")
+        if s1 * s2 != m * m:
             raise InvalidTargets(f"targets {s1}x{s2} do not multiply to {m}^2")
         return cls((m, m), (s1, s2))
 
@@ -136,6 +138,14 @@ class Problem:
 def _check_size(m: int) -> None:
     if m < 1:
         raise SolverError(f"die size must be positive, got {m}")
+
+
+def check_divisor(m: int, a: int) -> None:
+    """Raise NotADivisor unless the split a is a positive divisor of m."""
+    if a < 1:
+        raise NotADivisor(f"split must be a positive divisor of {m}, got {a}")
+    if m % a:
+        raise NotADivisor(f"{a} does not divide {m}")
 
 
 def frequency_poly(problem: Problem) -> IntPoly:
@@ -293,7 +303,8 @@ def _combine(
     """Every choice of one net-exponent row per axis, summed."""
     combos: list[tuple[int, ...]] = [(0,) * width]
     for options in axes:
-        combos = [tuple(map(add, net, opt)) for net in combos for opt in options]
+        # each row is a tuple of a list, not of an iterator: see _enumerate
+        combos = [tuple([*map(add, net, opt)]) for net in combos for opt in options]
     return combos
 
 
@@ -359,7 +370,7 @@ def _prefix_pairs(
     by_row = dict(zip(rows, left))
     pairs = []
     for row, series in zip(rows, left):
-        rest = tuple(map(sub, full, row))
+        rest = tuple([*map(sub, full, row)])  # not of an iterator: see _enumerate
         pairs.append((series, by_row.get(rest) or _prefix(ks, rest, limit)))
     return pairs
 
@@ -439,7 +450,7 @@ def _halves(
 
     def net_row(slots: Sequence[int], exps: Sequence[int]) -> tuple[int, ...]:
         net = net_exponents(ExponentVector.from_dict(dict(zip(slots, exps))))
-        return tuple(net.get(k, 0) for k in ks)
+        return tuple([net.get(k, 0) for k in ks])  # not of a generator: see _enumerate
 
     rows = [[net_row(slots, exps) for exps in options] for slots, options in axes]
     # Each head and each tail is expanded once, so the axes are cut where
@@ -473,7 +484,7 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
     packed_freq = _pack(frequency_poly(problem).coeffs, width)
     symmetric = left_size == right_size
     divs, ks, [(head, head_full), (tail, tail_full)] = _halves(mults, left_size, cap)
-    total_net = tuple(map(add, head_full, tail_full))
+    total_net = tuple([*map(add, head_full, tail_full)])
 
     # Mobius inversion of net_exponents: c_d is the sum of E_k over the k in
     # ks that d divides.
@@ -491,9 +502,12 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
         limit,
     )
 
-    # The loop builds no tuple from an iterator: such a tuple is resized to
-    # fit, and CPython then keeps up to 2000 freed tuples of every size it
-    # ends at, which showed as higher peak memory.
+    # Neither the loop nor the rows it walks build a tuple from an iterator.
+    # CPython builds such a tuple in a larger one and shrinks it to fit, so
+    # when freed it joins the free list of its final size, from which no
+    # such build ever takes: each call leaves more tuples held (up to 2000
+    # of every size) until a full collection, which showed as higher peak
+    # memory.
     found: list[SolutionPair] = []
     for head_net, passed in zip(head, survivors):
         for j in passed:
@@ -615,8 +629,7 @@ def decompose(m: int, a: int) -> SolutionPair:
     x(x^m-1)^2 / ((x^a-1)(x-1)), which always has nonnegative coefficients.
     Together they reproduce the sums of two standard m-sided dice.
     """
-    if a < 1 or m % a:
-        raise NotADivisor(f"{a} does not divide {m}")
+    check_divisor(m, a)
     problem = Problem.equal(m)
     small_die = Die.standard(a)
     small = die_to_poly(small_die)
@@ -640,8 +653,7 @@ def decomposition_die_labels(m: int, a: int) -> Die:
     (i-1)a+1 .. ia and 2m-(i+1)a+1 .. 2m-ia appear i times, and the middle
     block m-a+1 .. m appears b times.
     """
-    if a < 1 or m % a:
-        raise NotADivisor(f"{a} does not divide {m}")
+    check_divisor(m, a)
     b = m // a
     labels: list[int] = []
     for i in range(1, b):

@@ -5,12 +5,13 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from sicherman.cli import main
+from sicherman.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -157,6 +158,15 @@ def test_unequal(capsys):
     assert "do not multiply" in err
 
 
+def test_unequal_nonpositive_targets(capsys):
+    # (-6) * (-6) == 36, so a product mismatch would be the wrong message
+    for targets in ("-6,-6", "0,36", "36,0"):
+        code, out, err = run(capsys, "unequal", "--sides", "6", f"--targets={targets}")
+        assert code == 2 and out == ""
+        assert "face counts must be positive" in err
+        assert "multiply" not in err
+
+
 def test_decompose(capsys):
     code, out, _ = run(capsys, "decompose", "--sides", "6", "--split", "2")
     assert code == 0
@@ -164,6 +174,15 @@ def test_decompose(capsys):
     assert "recipe matches expansion: yes" in out
     code, _, err = run(capsys, "decompose", "--sides", "6", "--split", "4")
     assert code == 2
+    assert "4 does not divide 6" in err
+
+
+def test_decompose_nonpositive_split(capsys):
+    # -2 divides 6, so "does not divide" would be the wrong message
+    for split in ("-2", "0"):
+        code, out, err = run(capsys, "decompose", "--sides", "6", f"--split={split}")
+        assert code == 2 and out == ""
+        assert f"split must be a positive divisor of 6, got {split}" in err
 
 
 def test_verify(capsys):
@@ -229,6 +248,18 @@ def test_identities(capsys):
     assert env["results"]["all_passed"] is True
 
 
+def test_identities_rejects_a_bound_above_the_maximum(capsys):
+    # the battery grows fourfold to sixfold per doubling of the bound, so a
+    # large bound is refused before any work starts; 1001 comes first, since
+    # without the cap it still ends (in about 8 s) and fails the time check
+    for bound in (1001, 100_000, 10**12):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "identities", "--bound", str(bound))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"bound must be at most 1000, got {bound}" in err
+
+
 def test_oracle(capsys):
     code, out, _ = run(capsys, "oracle", "--sides", "6")
     assert code == 0
@@ -290,3 +321,46 @@ def test_certify(capsys):
     assert code == 2
     code, _, _ = run(capsys, "certify", "--case", "pqr", "--primes", "2,3")
     assert code == 2
+
+
+# -- the parser is built once per process and reused ---------------------------
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_die_list(capsys):
+    # `--die` appends; a list carried over from one parse to the next would
+    # give the second call four dice and a usage error
+    code, out, _ = run(
+        capsys, "verify", "--die", "1,2,2,3,3,4", "--die", "1,3,4,5,6,8",
+        "--reference", "6", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["parameters"]["die"] == ["1,2,2,3,3,4", "1,3,4,5,6,8"]
+    code, out, _ = run(
+        capsys, "verify", "--die", "1,1,4", "--die", "1,2,3",
+        "--reference", "3", "--format", "json",
+    )
+    assert code == 1
+    env = json.loads(out)
+    assert env["parameters"]["die"] == ["1,1,4", "1,2,3"]
+    assert env["results"]["first_difference"]["sum"] == 2
+
+
+def test_reused_parser_keeps_no_format(capsys):
+    _, json_out, _ = run(capsys, "solve", "--sides", "6", "--format", "json")
+    assert json.loads(json_out)["results"]["pair_count"] == 2
+    code, out, _ = run(capsys, "solve", "--sides", "6")
+    assert code == 0
+    assert out.startswith("m=6: 2 pairs, 3 distinct dice\n")
+
+
+def test_reused_parser_works_after_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--sides", "six"])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, "solve", "--sides", "6")
+    assert code == 0
+    assert "2 pairs" in out
