@@ -10,7 +10,6 @@ from scratch and shows the generating-function bookkeeping behind it.
 
 from sicherman import (
     Die,
-    Problem,
     cyclotomic,
     die_to_poly,
     enumerate_pairs,
@@ -28,7 +27,7 @@ print("as a polynomial:", die_to_poly(standard).coeffs)
 # Two standard dice together give the frequency polynomial.  Its coefficients
 # (1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1) are the familiar staircase of ways to
 # roll 2 through 12.
-target = frequency_poly(Problem.equal(6))
+target = frequency_poly(6, 6)
 print("\nfrequency polynomial coefficients:", target.coeffs)
 
 # Over the integers that polynomial factors into cyclotomic polynomials:

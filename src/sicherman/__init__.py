@@ -12,7 +12,6 @@ from .cyclotomic import (
 from .dice import Die, SumHistogram, die_to_poly, poly_to_die, sum_histogram
 from .solver import (
     ExponentVector,
-    Problem,
     SolutionPair,
     conjecture_sweep,
     decompose,
@@ -22,7 +21,6 @@ from .solver import (
     enumerate_unequal,
     frequency_poly,
     negative_certificates,
-    solve,
 )
 from .counting import (
     count_n_dice,
@@ -50,7 +48,6 @@ __all__ = [
     "poly_to_die",
     "sum_histogram",
     "ExponentVector",
-    "Problem",
     "SolutionPair",
     "decompose",
     "decomposition_die_labels",
@@ -59,7 +56,6 @@ __all__ = [
     "enumerate_unequal",
     "frequency_poly",
     "negative_certificates",
-    "solve",
     "count_n_dice",
     "count_two_dice_trinomial",
     "count_unbounded",

@@ -77,9 +77,9 @@ def _int_pair(text: str, flag: str) -> tuple[int, int]:
         raise UsageError(f"{flag} expects two comma-separated integers") from None
 
 
-def _int_list(text: str, flag: str) -> tuple[int, ...]:
+def _int_list(text: str, flag: str) -> list[int]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        return [int(p) for p in text.split(",")]
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated integers") from None
 

@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .polyint import IntPoly
 
@@ -54,7 +54,7 @@ class Die:
     def from_text(cls, text: str) -> Die:
         """Parse a comma-separated label list such as ``1,2,2,3,3,4``."""
         try:
-            labels = tuple(int(part) for part in text.split(","))
+            labels = [int(part) for part in text.split(",")]
         except ValueError:
             raise DieError(f"bad die text {text!r}") from None
         return cls(labels)
@@ -113,18 +113,3 @@ def sum_histogram(dice: Sequence[Die]) -> SumHistogram:
         sum(faces) for faces in itertools.product(*(d.labels for d in dice))
     )
     return SumHistogram(tuple(sorted(counts.items())))
-
-
-def histogram_matches_poly(hist: SumHistogram, poly: IntPoly) -> bool:
-    """True when the histogram equals the coefficient list of `poly`."""
-    return hist.as_dict() == {
-        j: c for j, c in enumerate(poly.coeffs) if c
-    }
-
-
-def dice_product_poly(dice: Iterable[Die]) -> IntPoly:
-    """Product of the generating polynomials of `dice`."""
-    out = IntPoly((1,))
-    for d in dice:
-        out = out * die_to_poly(d)
-    return out

@@ -53,14 +53,6 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def monomial(power: int, coeff: int = 1) -> IntPoly:
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return IntPoly((0,) * power + (coeff,))
-
     # -- structure ---------------------------------------------------------
 
     @property

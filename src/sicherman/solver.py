@@ -97,44 +97,6 @@ class CertificateMissing(SolverError):
     """An expected negative coefficient could not be found."""
 
 
-@dataclass(frozen=True)
-class Problem:
-    """A sum-frequency matching problem for a pair of dice.
-
-    `sizes` are the standard dice whose sum distribution must be matched;
-    `targets` optionally prescribes different face counts for the two
-    relabeled dice (their product must be sizes[0] * sizes[1]).
-    """
-
-    sizes: tuple[int, int]
-    targets: Optional[tuple[int, int]] = None
-
-    @classmethod
-    def equal(cls, m: int) -> Problem:
-        _check_size(m)
-        return cls((m, m))
-
-    @classmethod
-    def mixed(cls, m1: int, m2: int) -> Problem:
-        _check_size(m1)
-        _check_size(m2)
-        return cls((m1, m2))
-
-    @classmethod
-    def unequal_targets(cls, m: int, s1: int, s2: int) -> Problem:
-        _check_size(m)
-        if s1 < 1 or s2 < 1:
-            raise InvalidTargets(f"face counts must be positive, got {s1},{s2}")
-        if s1 * s2 != m * m:
-            raise InvalidTargets(f"targets {s1}x{s2} do not multiply to {m}^2")
-        return cls((m, m), (s1, s2))
-
-    @property
-    def face_counts(self) -> tuple[int, int]:
-        """Sizes of the two dice being solved for."""
-        return self.targets if self.targets is not None else self.sizes
-
-
 def _check_size(m: int) -> None:
     if m < 1:
         raise SolverError(f"die size must be positive, got {m}")
@@ -148,10 +110,9 @@ def check_divisor(m: int, a: int) -> None:
         raise NotADivisor(f"{a} does not divide {m}")
 
 
-def frequency_poly(problem: Problem) -> IntPoly:
-    """Product of the standard generating polynomials of problem.sizes: the
-    sum s + 1 comes up in min(s, m1, m2, m1 + m2 - s) ways."""
-    m1, m2 = problem.sizes
+def frequency_poly(m1: int, m2: int) -> IntPoly:
+    """Product of the generating polynomials of standard m1- and m2-sided
+    dice: the sum s + 1 comes up in min(s, m1, m2, m1 + m2 - s) ways."""
     return IntPoly([0, 0, *[min(s, m1, m2, m1 + m2 - s) for s in range(1, m1 + m2)]])
 
 
@@ -208,9 +169,9 @@ class SolutionPair:
         return SolutionPair(self.right, self.left)
 
 
-def _divisor_mults(problem: Problem) -> dict[int, int]:
+def _divisor_mults(sizes: Iterable[int]) -> dict[int, int]:
     mults: dict[int, int] = {}
-    for m in problem.sizes:
+    for m in sizes:
         for d in divisors(m):
             if d > 1:
                 mults[d] = mults.get(d, 0) + 1
@@ -297,14 +258,14 @@ def _mobius_terms(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, mu) for k in divisors(d) if (mu := mobius(d // k)))
 
 
-def _combine(
-    axes: Sequence[list[tuple[int, ...]]], width: int
-) -> list[tuple[int, ...]]:
+Rows = list[list[int]]
+
+
+def _combine(axes: Sequence[Rows], width: int) -> Rows:
     """Every choice of one net-exponent row per axis, summed."""
-    combos: list[tuple[int, ...]] = [(0,) * width]
+    combos = [[0] * width]
     for options in axes:
-        # each row is a tuple of a list, not of an iterator: see _enumerate
-        combos = [tuple([*map(add, net, opt)]) for net in combos for opt in options]
+        combos = [[*map(add, net, opt)] for net in combos for opt in options]
     return combos
 
 
@@ -342,11 +303,11 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     )
 
 
-def _prefix_limit(problem: Problem) -> int:
+def _prefix_limit(face_counts: Sequence[int]) -> int:
     """The last power the prefix mask decides: PREFILTER_DEGREE, or half
     the body degree of a standard die with the smaller face count, but never
     below x^1, whose coefficient -E_1 rejects most splits."""
-    return min(PREFILTER_DEGREE, max(1, (min(problem.face_counts) - 1) // 2))
+    return min(PREFILTER_DEGREE, max(1, (min(face_counts) - 1) // 2))
 
 
 def _prefix(ks: Sequence[int], net: Iterable[int], limit: int) -> list[int]:
@@ -356,23 +317,15 @@ def _prefix(ks: Sequence[int], net: Iterable[int], limit: int) -> list[int]:
     return [*series.coeffs, *[0] * (limit + 1 - len(series.coeffs))]
 
 
-Rows = list[tuple[int, ...]]
-
-
 def _prefix_pairs(
-    ks: Sequence[int], rows: Rows, full: tuple[int, ...], limit: int
+    ks: Sequence[int], rows: Rows, full: Sequence[int], limit: int
 ) -> list[tuple[list[int], list[int]]]:
     """The (left, right) prefix series of each row: of its net exponents and
-    of what it leaves of `full`.  Where that remainder is itself a row, as
-    every one is when both dice have the same face count, its series is
-    shared."""
-    left = [_prefix(ks, row, limit) for row in rows]
-    by_row = dict(zip(rows, left))
-    pairs = []
-    for row, series in zip(rows, left):
-        rest = tuple([*map(sub, full, row)])  # not of an iterator: see _enumerate
-        pairs.append((series, by_row.get(rest) or _prefix(ks, rest, limit)))
-    return pairs
+    of what it leaves of `full`, each expanded on its own."""
+    return [
+        (_prefix(ks, row, limit), _prefix(ks, map(sub, full, row), limit))
+        for row in rows
+    ]
 
 
 def _prefix_survivors(
@@ -434,7 +387,7 @@ def _prefix_survivors(
 
 def _halves(
     mults: dict[int, int], left_size: int, cap: int
-) -> tuple[list[int], list[int], list[tuple[Rows, tuple[int, ...]]]]:
+) -> tuple[list[int], list[int], list[tuple[Rows, list[int]]]]:
     """(divs, ks, [(head, head_full), (tail, tail_full)]) for the splits
     with `left_size` faces.
 
@@ -448,9 +401,9 @@ def _halves(
     divs = [d for slots, _ in axes for d in slots]
     ks = [1, *sorted(divs)]  # every k that divides some d in divs
 
-    def net_row(slots: Sequence[int], exps: Sequence[int]) -> tuple[int, ...]:
+    def net_row(slots: Sequence[int], exps: Sequence[int]) -> list[int]:
         net = net_exponents(ExponentVector.from_dict(dict(zip(slots, exps))))
-        return tuple([net.get(k, 0) for k in ks])  # not of a generator: see _enumerate
+        return [net.get(k, 0) for k in ks]
 
     rows = [[net_row(slots, exps) for exps in options] for slots, options in axes]
     # Each head and each tail is expanded once, so the axes are cut where
@@ -460,7 +413,7 @@ def _halves(
         range(len(rows) + 1), key=lambda i: prod(counts[:i]) + prod(counts[i:])
     )
 
-    def full(part: Sequence[tuple[tuple[int, ...], list]]) -> tuple[int, ...]:
+    def full(part: Sequence[tuple[tuple[int, ...], list]]) -> list[int]:
         ds = [d for slots, _ in part for d in slots]
         return net_row(ds, [mults[d] for d in ds])
 
@@ -470,21 +423,25 @@ def _halves(
     ]
 
 
-def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionPair]:
+def _enumerate(
+    sizes: tuple[int, int], face_counts: tuple[int, int], search_cap: Optional[int]
+) -> list[SolutionPair]:
+    """Every pair of dice with `face_counts` faces whose sums match those of
+    two standard dice of `sizes`, sorted by labels."""
     cap = DEFAULT_SEARCH_CAP if search_cap is None else search_cap
     if cap < 1:
         raise SolverError(f"search_cap must be at least 1, got {cap}")
-    mults = _divisor_mults(problem)
-    left_size, right_size = problem.face_counts
+    mults = _divisor_mults(sizes)
+    left_size, right_size = face_counts
     faces = left_size * right_size
     # Digits of `width` bytes hold every value up to `faces`, which bounds
     # every coefficient of a product of two nonnegative sides that multiply
     # to `faces` at x=1.
     width = (faces.bit_length() + 7) // 8
-    packed_freq = _pack(frequency_poly(problem).coeffs, width)
+    packed_freq = _pack(frequency_poly(*sizes).coeffs, width)
     symmetric = left_size == right_size
     divs, ks, [(head, head_full), (tail, tail_full)] = _halves(mults, left_size, cap)
-    total_net = tuple([*map(add, head_full, tail_full)])
+    total_net = [*map(add, head_full, tail_full)]
 
     # Mobius inversion of net_exponents: c_d is the sum of E_k over the k in
     # ks that d divides.
@@ -495,19 +452,13 @@ def _enumerate(problem: Problem, *, search_cap: Optional[int]) -> list[SolutionP
             {d: sum([net[i] for i in idx]) for d, idx in multiples}
         )
 
-    limit = _prefix_limit(problem)
+    limit = _prefix_limit(face_counts)
     survivors = _prefix_survivors(
         _prefix_pairs(ks, head, head_full, limit),
         _prefix_pairs(ks, tail, tail_full, limit),
         limit,
     )
 
-    # Neither the loop nor the rows it walks build a tuple from an iterator.
-    # CPython builds such a tuple in a larger one and shrinks it to fit, so
-    # when freed it joins the free list of its final size, from which no
-    # such build ever takes: each call leaves more tuples held (up to 2000
-    # of every size) until a full collection, which showed as higher peak
-    # memory.
     found: list[SolutionPair] = []
     for head_net, passed in zip(head, survivors):
         for j in passed:
@@ -549,7 +500,8 @@ def enumerate_pairs(m: int, *, search_cap: Optional[int] = None) -> list[Solutio
     The standard pair is always included.  Pairs are unordered and come back
     sorted by labels, smaller die first.
     """
-    return _enumerate(Problem.equal(m), search_cap=search_cap)
+    _check_size(m)
+    return _enumerate((m, m), (m, m), search_cap)
 
 
 def enumerate_mixed(
@@ -559,7 +511,9 @@ def enumerate_mixed(
 
     The left die of every returned pair has m1 faces.
     """
-    return _enumerate(Problem.mixed(m1, m2), search_cap=search_cap)
+    _check_size(m1)
+    _check_size(m2)
+    return _enumerate((m1, m2), (m1, m2), search_cap)
 
 
 @dataclass(frozen=True)
@@ -612,11 +566,12 @@ def enumerate_unequal(
 
     Requires s1 * s2 == m * m; the left die of every pair has s1 faces.
     """
-    return _enumerate(Problem.unequal_targets(m, s1, s2), search_cap=search_cap)
-
-
-def solve(problem: Problem, *, search_cap: Optional[int] = None) -> list[SolutionPair]:
-    return _enumerate(problem, search_cap=search_cap)
+    _check_size(m)
+    if s1 < 1 or s2 < 1:
+        raise InvalidTargets(f"face counts must be positive, got {s1},{s2}")
+    if s1 * s2 != m * m:
+        raise InvalidTargets(f"targets {s1}x{s2} do not multiply to {m}^2")
+    return _enumerate((m, m), (s1, s2), search_cap)
 
 
 # -- explicit decomposition for one divisor ---------------------------------
@@ -630,13 +585,13 @@ def decompose(m: int, a: int) -> SolutionPair:
     Together they reproduce the sums of two standard m-sided dice.
     """
     check_divisor(m, a)
-    problem = Problem.equal(m)
+    _check_size(m)
     small_die = Die.standard(a)
     small = die_to_poly(small_die)
-    big = frequency_poly(problem).div_exact(small)
+    big = frequency_poly(m, m).div_exact(small)
     if not big.is_nonnegative:
         raise AssertionError(f"divisor {a} of {m} gave a negative expansion")
-    mults = _divisor_mults(problem)
+    mults = _divisor_mults((m, m))
     left_vector = ExponentVector.from_dict(
         {d: (1 if a % d == 0 else 0) for d in mults}
     )

@@ -19,7 +19,6 @@ from sicherman.dice import Die, sum_histogram
 from sicherman.oracle import brute_force_pairs
 from sicherman.polyint import ONE, x_pow_minus_one
 from sicherman.solver import (
-    Problem,
     candidate_product,
     conjecture_sweep,
     decompose,
@@ -291,7 +290,7 @@ def test_criterion_09_counting_table():
 def test_criterion_10_unequal_sizes():
     bad = []
     for m in range(1, 37):
-        freq = frequency_poly(Problem.equal(m))
+        freq = frequency_poly(m, m)
         for a in divisors(m):
             pair = decompose(m, a)
             if pair.left.poly * pair.right.poly != freq:

@@ -185,6 +185,22 @@ def test_decompose_nonpositive_split(capsys):
         assert f"split must be a positive divisor of 6, got {split}" in err
 
 
+@pytest.mark.parametrize("size", ["0", "-6"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve --sides={}",
+        "mixed --sides={},6",
+        "unequal --sides={} --targets=6,6",
+        "decompose --sides={} --split=1",
+    ],
+)
+def test_nonpositive_die_size(capsys, argv, size):
+    # every command that enumerates or decomposes checks the size itself
+    code, out, err = run(capsys, *argv.format(size).split())
+    assert (code, out, err) == (2, "", f"error: die size must be positive, got {size}\n")
+
+
 def test_verify(capsys):
     code, out, _ = run(
         capsys, "verify", "--die", "1,2,2,3,3,4", "--die", "1,3,4,5,6,8",

@@ -55,13 +55,6 @@ def test_getitem_out_of_range():
     assert p[0] == 1 and p[1] == 2 and p[5] == 0 and p[-3] == 0
 
 
-def test_monomial():
-    assert IntPoly.monomial(3) == IntPoly((0, 0, 0, 1))
-    assert IntPoly.monomial(0, -2) == IntPoly((-2,))
-    with pytest.raises(ValueError):
-        IntPoly.monomial(-1)
-
-
 def test_immutable():
     with pytest.raises(AttributeError):
         X.coeffs = (9,)

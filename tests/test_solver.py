@@ -23,7 +23,6 @@ from sicherman.solver import (
     ExponentVector,
     InvalidTargets,
     NotADivisor,
-    Problem,
     SearchCapExceeded,
     SolutionPair,
     SolutionSide,
@@ -40,7 +39,6 @@ from sicherman.solver import (
     negative_certificates,
     net_exponents,
     reduced_form_matches,
-    solve,
     _candidate_axes,
     _case_vector,
     _divisor_mults,
@@ -67,14 +65,29 @@ CANCELLED_FORMS = {
     },
 }
 
+
+# Each problem is (sizes, face_counts): the standard dice whose sums are
+# matched, and the face counts of the two dice enumerated.
+def equal(m):
+    return (m, m), (m, m)
+
+
+def mixed(m1, m2):
+    return (m1, m2), (m1, m2)
+
+
+def unequal(m, s1, s2):
+    return (m, m), (s1, s2)
+
+
 NET_EXPONENT_PROBLEMS = {
-    "equal-12": Problem.equal(12),
-    "equal-30": Problem.equal(30),
-    "equal-36": Problem.equal(36),
-    "mixed-4-9": Problem.mixed(4, 9),
-    "mixed-5-6": Problem.mixed(5, 6),
-    "unequal-6-4x9": Problem.unequal_targets(6, 4, 9),
-    "unequal-12-8x18": Problem.unequal_targets(12, 8, 18),
+    "equal-12": equal(12),
+    "equal-30": equal(30),
+    "equal-36": equal(36),
+    "mixed-4-9": mixed(4, 9),
+    "mixed-5-6": mixed(5, 6),
+    "unequal-6-4x9": unequal(6, 4, 9),
+    "unequal-12-8x18": unequal(12, 8, 18),
 }
 
 
@@ -96,29 +109,35 @@ def histogram_ok(pair, sizes):
     return sum_histogram(list(pair.dice)) == sum_histogram(standard)
 
 
-def test_problem_constructors():
-    assert Problem.equal(6).sizes == (6, 6)
-    assert Problem.mixed(2, 8).face_counts == (2, 8)
-    assert Problem.unequal_targets(6, 4, 9).face_counts == (4, 9)
-    with pytest.raises(SolverError):
-        Problem.equal(0)
-    with pytest.raises(InvalidTargets):
-        Problem.unequal_targets(6, 4, 8)
+def test_wrappers_check_sizes_and_targets():
+    for call in (
+        lambda: enumerate_pairs(0),
+        lambda: enumerate_mixed(0, 6),
+        lambda: enumerate_mixed(6, 0),
+        lambda: enumerate_unequal(0, 1, 1),
+        lambda: decompose(0, 1),
+    ):
+        with pytest.raises(SolverError, match="die size must be positive, got 0"):
+            call()
+    with pytest.raises(InvalidTargets, match="do not multiply"):
+        enumerate_unequal(6, 4, 8)
+    with pytest.raises(InvalidTargets, match="face counts must be positive"):
+        enumerate_unequal(6, -6, -6)
 
 
 def test_frequency_poly_equal_six():
-    assert frequency_poly(Problem.equal(6)) == IntPoly(
+    assert frequency_poly(6, 6) == IntPoly(
         (0, 0, 1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1)
     )
 
 
 def test_frequency_poly_mixed():
     # standard 2- and 3-sided dice: sums 2..5 with frequencies 1,2,2,1
-    assert frequency_poly(Problem.mixed(2, 3)) == IntPoly((0, 0, 1, 2, 2, 1))
+    assert frequency_poly(2, 3) == IntPoly((0, 0, 1, 2, 2, 1))
     for m1 in range(1, 13):
         for m2 in range(1, 13):
             standard = die_to_poly(Die.standard(m1)) * die_to_poly(Die.standard(m2))
-            assert frequency_poly(Problem.mixed(m1, m2)) == standard
+            assert frequency_poly(m1, m2) == standard
 
 
 def test_exponent_vector():
@@ -167,7 +186,7 @@ def test_standard_pair_always_present():
 
 
 def test_pairs_multiply_to_frequency():
-    freq = frequency_poly(Problem.equal(12))
+    freq = frequency_poly(12, 12)
     for p in enumerate_pairs(12):
         assert p.left.poly * p.right.poly == freq
         assert histogram_ok(p, (12, 12))
@@ -188,11 +207,6 @@ def test_search_cap_must_be_positive():
             with pytest.raises(SolverError, match="search_cap") as exc:
                 call()
             assert not isinstance(exc.value, SearchCapExceeded)
-
-
-def test_solve_dispatch():
-    assert labels_of(solve(Problem.equal(6))) == labels_of(enumerate_pairs(6))
-    assert labels_of(solve(Problem.mixed(2, 8))) == labels_of(enumerate_mixed(2, 8))
 
 
 def test_enumerate_mixed_distinct_primes():
@@ -301,7 +315,7 @@ def test_one_minus_x_exponent_pqr():
 
 def test_one_minus_x_exponent_is_mobius_sum():
     for m in (12, 30):
-        mults = _divisor_mults(Problem.equal(m))
+        mults = _divisor_mults((m, m))
         for vec in candidate_vectors(mults, m):
             expected = sum(c * mobius(d) for d, c in vec.entries)
             assert e1(vec) == expected
@@ -311,7 +325,7 @@ def test_positive_exponent_means_negative_coefficient():
     # E_1 > 0 means a negative linear coefficient, on every candidate split
     cache = CyclotomicCache()
     for m in (12, 18, 30):
-        mults = _divisor_mults(Problem.equal(m))
+        mults = _divisor_mults((m, m))
         for vec in candidate_vectors(mults, m):
             if e1(vec) > 0:
                 assert not _vector_poly(vec, cache).is_nonnegative
@@ -322,10 +336,10 @@ def test_net_exponents_match_direct_expansion(name):
     # x * prod(phi_d^c_d) == x * prod((1 - x^k)^E_k) on both sides of every
     # candidate, and -E_1 is the linear coefficient, so the prefix mask
     # rejects every side with E_1 > 0, for every problem kind
-    problem = NET_EXPONENT_PROBLEMS[name]
+    sizes, face_counts = NET_EXPONENT_PROBLEMS[name]
     cache = CyclotomicCache()
-    mults = _divisor_mults(problem)
-    for vec in candidate_vectors(mults, problem.face_counts[0]):
+    mults = _divisor_mults(sizes)
+    for vec in candidate_vectors(mults, face_counts[0]):
         for side in (vec, vec.complement(mults)):
             net = net_exponents(side)
             body = IntPoly(_vector_poly(side, cache).coeffs[1:])
@@ -437,8 +451,8 @@ def test_enumeration_expands_sides_only_to_half_their_degree(limits):
 
 MASK_PROBLEMS = {
     **NET_EXPONENT_PROBLEMS,
-    "equal-60": Problem.equal(60),
-    "unequal-12-72x2": Problem.unequal_targets(12, 72, 2),
+    "equal-60": equal(60),
+    "unequal-12-72x2": unequal(12, 72, 2),
 }
 
 
@@ -446,10 +460,10 @@ MASK_PROBLEMS = {
 def test_prefix_mask_matches_expand_side(name):
     # on every split, the mask passes it exactly when _expand_side finds no
     # negative coefficient at or below x^L on either side
-    problem = MASK_PROBLEMS[name]
-    limit = solver._prefix_limit(problem)
+    sizes, face_counts = MASK_PROBLEMS[name]
+    limit = solver._prefix_limit(face_counts)
     _, ks, [(head, head_full), (tail, tail_full)] = solver._halves(
-        _divisor_mults(problem), problem.face_counts[0], 10**7
+        _divisor_mults(sizes), face_counts[0], 10**7
     )
     total = [a + b for a, b in zip(head_full, tail_full)]
     masks = solver._prefix_survivors(
@@ -559,7 +573,7 @@ def _raise_last(coeffs):
 
 
 @pytest.mark.parametrize("change", [_move_last_up, _raise_last])
-@pytest.mark.parametrize("problem", [Problem.equal(6), Problem.unequal_targets(6, 4, 9)])
+@pytest.mark.parametrize("problem", [equal(6), unequal(6, 4, 9)])
 def test_product_check_rejects_a_wrong_side(monkeypatch, change, problem):
     # every surviving pair is multiplied back to the frequency polynomial, so
     # a side that is wrong but still nonnegative cannot pass
@@ -571,7 +585,7 @@ def test_product_check_rejects_a_wrong_side(monkeypatch, change, problem):
 
     monkeypatch.setattr(solver, "_expand_side", wrong_side)
     with pytest.raises(AssertionError, match="does not multiply back"):
-        solve(problem)
+        solver._enumerate(*problem, None)
 
 
 # -- the enumeration's pruning against a plain referee ------------------------
@@ -580,21 +594,21 @@ def test_product_check_rejects_a_wrong_side(monkeypatch, change, problem):
 PAIR_COUNTS = {36: 57, 60: 125, 72: 348, 96: 583}
 
 REFEREE_PROBLEMS = {
-    "equal": [Problem.equal(m) for m in range(1, 41)],
-    "mixed": [Problem.mixed(a, b) for a in range(1, 13) for b in range(1, 13)],
+    "equal": [equal(m) for m in range(1, 41)],
+    "mixed": [mixed(a, b) for a in range(1, 13) for b in range(1, 13)],
     "unequal": [
-        Problem.unequal_targets(m, s, m * m // s)
+        unequal(m, s, m * m // s)
         for m in range(1, 19)
         for s in divisors(m * m)
     ],
 }
 
 
-def referee_enumeration(problem):
+def referee_enumeration(sizes, face_counts):
     """Every split expanded in full, with only the E_1 skip: no half expansion
     and no complement symmetry."""
-    mults = _divisor_mults(problem)
-    left_size, right_size = problem.face_counts
+    mults = _divisor_mults(sizes)
+    left_size, right_size = face_counts
     found = {}
     for vec in candidate_vectors(mults, left_size):
         sides = []
@@ -618,8 +632,9 @@ def referee_enumeration(problem):
 @pytest.mark.parametrize("kind", REFEREE_PROBLEMS)
 def test_pruning_changes_nothing(kind):
     # same labels, exponent vectors and polynomials, in the same order
-    for problem in REFEREE_PROBLEMS[kind]:
-        assert solve(problem) == referee_enumeration(problem), problem
+    for sizes, face_counts in REFEREE_PROBLEMS[kind]:
+        want = referee_enumeration(sizes, face_counts)
+        assert solver._enumerate(sizes, face_counts, None) == want, (sizes, face_counts)
 
 
 def test_pair_counts():
