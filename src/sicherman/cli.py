@@ -6,7 +6,8 @@ Each subcommand returns (parameters, results, exit code) and prints nothing.
 default) the subcommand's table, rendered from the parameters and results
 alone; integers print in full, whatever their length.  Exit codes: 0
 success, 1 a check failed, 2 bad usage, 3 a search cap or node budget was
-exceeded.
+exceeded.  The envelope's bytes are those of `json.dumps(envelope, indent=2,
+sort_keys=True)`, written by `_json_text` without that call.
 
 The argparse parser is built once per process, on the first call to
 `main`, and reused: building it costs more than most small commands, and
@@ -22,6 +23,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .counting import count_n_dice, count_unbounded
@@ -349,6 +351,30 @@ def _any_length_integers():
         sys.set_int_max_str_digits(limit)
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it, at the
+    nesting whose line break and indent are `pad`.  That call runs the
+    pure-Python encoder; here an int is its `str`, and a list of ints one
+    join.  A bool is not exactly an int, so it is not written as one."""
+    if type(obj) is int:
+        return str(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        body = [
+            f"{encode_basestring_ascii(key)}: {_json_text(value, inner)}"
+            for key, value in sorted(obj.items())
+        ]
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {int}:
+            body = map(str, obj)
+        else:
+            body = [_json_text(item, inner) for item in obj]
+    else:
+        return json.dumps(obj)
+    opening, closing = "{}" if isinstance(obj, dict) else "[]"
+    return opening + inner + ("," + inner).join(body) + pad + closing
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -361,7 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "results": results,
                     "status": "ok" if code == EXIT_OK else "fail",
                 }
-                lines = [json.dumps(envelope, indent=2, sort_keys=True)]
+                lines = [_json_text(envelope)]
             else:
                 lines = args.render(parameters, results)
     except (SearchCapExceeded, BudgetExceeded) as exc:

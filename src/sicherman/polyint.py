@@ -3,7 +3,10 @@
 A polynomial is stored as a tuple of coefficients indexed by power, so
 ``(0, 1, 2)`` is ``x + 2x^2``.  The canonical form has no trailing zeros and
 the zero polynomial is the empty tuple.  All arithmetic is exact Python
-integer arithmetic: one convolution serves every product, and
+integer arithmetic: one convolution serves every product, adding a shifted
+copy of the longer operand per term of the shorter, or, when fewer than one
+in eight coefficients of the longer operand is nonzero (the towers
+phi_n(x^k) of the identity battery), adding term by term.
 `one_minus_x_product` expands products of (1 - x^k)^e by stride recurrences.
 
 Values are immutable, so every operation is a pure function and instances are
@@ -12,7 +15,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import add, index, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -226,6 +229,14 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
         a, b = b, a
     n = len(b)
     out = [0] * (len(a) + n - 1)
+    if 8 * (n - b.count(0)) < n:
+        # Few nonzero terms: adding each one costs less than a slice of b.
+        terms = [(j, b[j]) for j in compress(range(n), b)]
+        for i, c in enumerate(a):
+            if c:
+                for j, d in terms:
+                    out[i + j] += c * d
+        return out
     for i, c in enumerate(a):
         if c:
             row = b if c == 1 else [c * d for d in b]

@@ -318,14 +318,18 @@ def _prefix(ks: Sequence[int], net: Iterable[int], limit: int) -> list[int]:
 
 
 def _prefix_pairs(
-    ks: Sequence[int], rows: Rows, full: Sequence[int], limit: int
+    ks: Sequence[int], rows: Rows, full: Sequence[int], limit: int, symmetric: bool
 ) -> list[tuple[list[int], list[int]]]:
     """The (left, right) prefix series of each row: of its net exponents and
-    of what it leaves of `full`, each expanded on its own."""
-    return [
-        (_prefix(ks, row, limit), _prefix(ks, map(sub, full, row), limit))
-        for row in rows
-    ]
+    of what it leaves of `full`.  With equal face counts, what row j leaves
+    is row n - 1 - j of the n rows (see `_halves`), so each series is
+    expanded once and serves both."""
+    left = [_prefix(ks, row, limit) for row in rows]
+    if symmetric:
+        right = left[::-1]
+    else:
+        right = [_prefix(ks, map(sub, full, row), limit) for row in rows]
+    return list(zip(left, right))
 
 
 def _prefix_survivors(
@@ -396,6 +400,12 @@ def _halves(
     of its half.  A half's full row takes every divisor of its axes at its
     whole multiplicity, so the right side's net exponents are what the head
     leaves of head_full plus what the tail leaves of tail_full.
+
+    With equal face counts, each prime's slots hold twice its exponent in
+    `left_size`, so the complement of an option is an option of the same
+    axis.  It reverses the axis's order (compositions come in descending
+    order, free exponents in ascending), and `_combine` keeps that order,
+    so what row j of a half leaves of its full row is row n - 1 - j.
     """
     axes = _candidate_axes(mults, left_size, cap)
     divs = [d for slots, _ in axes for d in slots]
@@ -454,8 +464,8 @@ def _enumerate(
 
     limit = _prefix_limit(face_counts)
     survivors = _prefix_survivors(
-        _prefix_pairs(ks, head, head_full, limit),
-        _prefix_pairs(ks, tail, tail_full, limit),
+        _prefix_pairs(ks, head, head_full, limit, symmetric),
+        _prefix_pairs(ks, tail, tail_full, limit, symmetric),
         limit,
     )
 

@@ -10,8 +10,9 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from sicherman.cli import build_parser, main
+from sicherman.cli import _any_length_integers, _json_text, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -253,6 +254,39 @@ def test_count_prints_answers_of_any_length(capsys, fmt):
     text = json.loads(out, parse_int=str)["results"]["count"] if fmt == "json" else out
     assert Decimal(text.strip()) == math.comb(19999, 9999)
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+# JSON values as envelopes hold them, with the leaves the writer treats
+# apart: ints of any length, bools among ints, None, and strings that need
+# escapes
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([1, -1]).map(lambda sign: sign * 7**5200)  # 4,395 digits
+    | st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé\u2028漢\U0001f3b2'))
+    | st.text()
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.integers() | st.booleans())
+    | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    with _any_length_integers():
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_rejects_a_key_that_is_not_text():
+    # json.dumps would write the key 1 as "1"
+    with pytest.raises(TypeError):
+        _json_text({"results": {1: [2, 3]}})
 
 
 def test_identities(capsys):

@@ -120,6 +120,9 @@ def test_identity_suite_passes():
     assert by_name["x^n - 1 equals the product of phi_d over d | n"].cases == 12
     # the fixed-prime product checks run even when bound is small
     assert by_name["prod of phi_{p^i q} for i<=k equals phi_q at x^(p^k)"].cases > 0
+    # from 13 up the tower check multiplies sparse polynomials of degree
+    # about 20,000, which takes the convolution's sparse branch
+    assert check_identity_suite(13).all_passed
 
 
 def test_identity_suite_rejects_tiny_bound():

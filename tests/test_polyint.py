@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from sicherman.cyclotomic import cyclotomic
 from sicherman.polyint import (
     DivisionByZero,
     IntPoly,
@@ -25,16 +26,24 @@ from sicherman.polyint import (
 
 
 def ref_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    # dict-accumulation product, independent of the library's convolution
+    # dict-accumulation product over the nonzero terms, independent of the
+    # library's convolution
+    terms = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
     out = {}
     for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
-            out[i + j] = out.get(i + j, 0) + ca * cb
+        if ca:
+            for j, cb in terms:
+                out[i + j] = out.get(i + j, 0) + ca * cb
     size = max(out) + 1 if out else 0
     return IntPoly([out.get(k, 0) for k in range(size)])
 
 
 polys = st.builds(IntPoly, st.lists(st.integers(-6, 6), max_size=7))
+# a few nonzero terms spread up to x^500: a product whose longer operand is
+# one of these takes the sparse branch of the convolution
+sparse_polys = st.dictionaries(
+    st.integers(0, 500), st.integers(-6, 6).filter(bool), max_size=6
+).map(lambda terms: IntPoly(terms.get(k, 0) for k in range(501)))
 
 
 def test_canonical_form():
@@ -184,8 +193,16 @@ def test_import_does_not_load_numpy():
     assert result.returncode == 0, result.stderr or "numpy was imported"
 
 
-@given(polys, polys)
+@given(polys | sparse_polys, polys | sparse_polys)
 def test_mul_matches_reference(a, b):
+    assert a * b == ref_mul(a, b)
+
+
+def test_mul_sparse_tower():
+    # phi_143(x^169) times phi_(13^3 * 11), of degree 20,280 with 71 nonzero
+    # terms each: the identity battery's tower check at p = 13
+    a = cyclotomic(13 * 11).substitute_power(13**2)
+    b = cyclotomic(13**3 * 11)
     assert a * b == ref_mul(a, b)
 
 

@@ -466,9 +466,10 @@ def test_prefix_mask_matches_expand_side(name):
         _divisor_mults(sizes), face_counts[0], 10**7
     )
     total = [a + b for a, b in zip(head_full, tail_full)]
+    symmetric = face_counts[0] == face_counts[1]
     masks = solver._prefix_survivors(
-        solver._prefix_pairs(ks, head, head_full, limit),
-        solver._prefix_pairs(ks, tail, tail_full, limit),
+        solver._prefix_pairs(ks, head, head_full, limit, symmetric),
+        solver._prefix_pairs(ks, tail, tail_full, limit, symmetric),
         limit,
     )
     for h, passed in zip(head, masks, strict=True):
@@ -480,6 +481,16 @@ def test_prefix_mask_matches_expand_side(name):
             ]
             slow = all(w is None or w[0] > limit for w in witnesses)
             assert (j in passed) == slow, (h, t)
+
+
+def test_symmetric_halves_complement_in_reverse():
+    # with equal face counts, what row j of a half leaves of its full row is
+    # row n - 1 - j, which is what lets _prefix_pairs share each series
+    for m in [*range(1, 61), 72, 96]:
+        _, _, halves = solver._halves(_divisor_mults((m, m)), m, 10**7)
+        for rows, full in halves:
+            leaves = [[f - e for f, e in zip(full, row)] for row in rows]
+            assert leaves == rows[::-1], m
 
 
 def test_prefix_mask_holds_a_coefficient_at_its_bound():
