@@ -31,13 +31,26 @@ def count_n_dice(n: int, k: int) -> int:
     1 / (1 - x)^k, which is C(2k - 1 - j(n+1), k - 1), so only the
     k/(n+1) + 1 terms with j(n+1) <= k count.  For n >= k the bound never
     binds and this equals `count_unbounded(k)`.
+
+    Each term's magnitude comes from the one before by an exact integer
+    ratio: C(k, j) gains (k - j + 1) / j, and the second binomial, whose top
+    N drops by n + 1, gains perm(N - k + 1, n + 1) / perm(N, n + 1).
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    return sum(
-        (-1) ** j * math.comb(k, j) * math.comb(2 * k - 1 - j * (n + 1), k - 1)
-        for j in range(k // (n + 1) + 1)
-    )
+    step = n + 1
+    top = 2 * k - 1
+    term = total = math.comb(top, k - 1)
+    for j in range(1, k // step + 1):
+        term = (
+            term
+            * (k - j + 1)
+            * math.perm(top - k + 1, step)
+            // (j * math.perm(top, step))
+        )
+        top -= step
+        total += -term if j % 2 else term
+    return total
 
 
 def count_two_dice_trinomial(k: int) -> int:

@@ -5,10 +5,15 @@ phi_n from the Mobius-product formula, while `cyclotomic_by_division`
 recursively divides x^n - 1 by the phi_d of proper divisors.  Agreement of
 the two routes is part of the test suite, and `check_identity_suite` runs a
 battery of classical and product identities over a parameter range.
+
+`cyclotomic` reads the one table of the process, and `mobius_exponents` is
+the one statement of the Mobius rule, which the solver's net exponents use
+too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,11 +69,22 @@ def euler_totient(n: int) -> int:
     return t
 
 
-class CyclotomicCache:
-    """Memoized cyclotomic polynomials via the Mobius product.
+@functools.lru_cache(maxsize=None)
+def mobius_exponents(n: int) -> tuple[tuple[int, int], ...]:
+    """(k, mobius(n // k)) for the divisors k of n where it is nonzero.
 
-    phi_n is the product over divisors d of n of (x^d - 1)^mobius(n/d), and
-    for n > 1 the signs cancel, leaving (1 - x^d)^mobius(n/d).
+    phi_n is the product over these of (x^k - 1)^mobius(n/k), and for n > 1
+    the signs cancel, leaving (1 - x^k)^mobius(n/k).
+
+    >>> mobius_exponents(12)
+    ((2, 1), (4, -1), (6, -1), (12, 1))
+    """
+    return tuple((k, mu) for k in divisors(n) if (mu := mobius(n // k)))
+
+
+class CyclotomicCache:
+    """Memoized cyclotomic polynomials via the Mobius product
+    (`mobius_exponents`).  `cyclotomic` reads the one table of the process.
     """
 
     def __init__(self):
@@ -79,8 +95,7 @@ class CyclotomicCache:
             raise ValueError("n must be a positive integer")
         phi = self._table.get(n)
         if phi is None:
-            exponents = {d: mobius(n // d) for d in divisors(n)}
-            phi = one_minus_x_product(exponents, euler_totient(n))
+            phi = one_minus_x_product(dict(mobius_exponents(n)), euler_totient(n))
             if n == 1:
                 phi = -phi  # phi_1 = x - 1 = -(1 - x)
             if phi.degree != euler_totient(n):
@@ -148,9 +163,10 @@ def _primes_up_to(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if is_prime(p)]
 
 
-# The battery's cost grows about fourfold to sixfold each time `bound`
-# doubles: 0.32 s at 240, 1.2 s at 480 and 7.7 s at 1000 (2 vCPU, CPython
-# 3.11), so a larger bound is refused rather than left to run for minutes.
+# The battery's cost grows about threefold to sevenfold each time `bound`
+# doubles: 0.2-0.3 s at 240, 0.8 s at 480 and 5-7 s at 1000 (the first run
+# in a process, 2 vCPU, CPython 3.11), so a larger bound is refused rather
+# than left to run for minutes.
 MAX_IDENTITY_BOUND = 1000
 
 
@@ -166,8 +182,7 @@ def check_identity_suite(bound: int) -> IdentityReport:
         raise ValueError("bound must be at least 2")
     if bound > MAX_IDENTITY_BOUND:
         raise ValueError(f"bound must be at most {MAX_IDENTITY_BOUND}, got {bound}")
-    cache = CyclotomicCache()
-    phi = cache.get
+    phi = cyclotomic
     report = IdentityReport(bound=bound)
     primes = _primes_up_to(bound)
 

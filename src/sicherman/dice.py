@@ -47,7 +47,7 @@ class Die:
     @classmethod
     def standard(cls, m: int) -> Die:
         if m < 1:
-            raise DieError("a die needs at least one face")
+            raise DieError(f"die size must be positive, got {m}")
         return cls(tuple(range(1, m + 1)))
 
     @classmethod

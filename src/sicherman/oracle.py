@@ -86,11 +86,11 @@ def brute_force_pairs(
     (1, 2, 3, 4) (1, 2, 3, 4)
     """
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise ValueError(f"die size must be positive, got {m}")
     if m2 is None:
         m2 = m
     elif m2 < 1:
-        raise ValueError("m2 must be a positive integer")
+        raise ValueError(f"die size must be positive, got {m2}")
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     sizes = f"size {m}" if m == m2 else f"sizes {m}x{m2}"

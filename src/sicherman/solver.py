@@ -50,18 +50,16 @@ multiply to it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cyclotomic import CyclotomicCache, divisors, is_prime, mobius, prime_factors
+from .cyclotomic import cyclotomic, divisors, is_prime, mobius_exponents, prime_factors
 from .dice import Die, die_to_poly, poly_to_die
 from .polyint import (
     ONE,
     IntPoly,
-    X,
     one_minus_x_pow,
     one_minus_x_product,
     truncated_series_product,
@@ -226,36 +224,26 @@ def _candidate_axes(
     return axes
 
 
-def _vector_poly(
-    vector: ExponentVector, cache: CyclotomicCache, start: IntPoly = X
-) -> IntPoly:
-    poly = start
-    for d, c in vector.entries:
-        if c:
-            poly = poly * cache.get(d) ** c
-    return poly
+def _vector_poly(vector: ExponentVector) -> IntPoly:
+    """prod(phi_d^c_d) of one side, without the leading x."""
+    return prod((cyclotomic(d) ** c for d, c in vector.entries if c), start=ONE)
 
 
 def net_exponents(vector: ExponentVector) -> dict[int, int]:
     """Net exponents {k: E_k}, sorted by k and nonzero, of one side.
 
-    For d > 1, phi_d = prod over k | d of (1 - x^k)^mobius(d/k), so the side
-    x * prod(phi_d^c_d) equals x * prod((1 - x^k)^E_k) with
-    E_k = sum of c_d * mobius(d/k) over the divisors d that k divides.
+    For d > 1, phi_d = prod of (1 - x^k)^mobius(d/k) over the pairs of
+    `mobius_exponents(d)`, so the side x * prod(phi_d^c_d) equals
+    x * prod((1 - x^k)^E_k) with E_k = sum of c_d * mobius(d/k) over the
+    divisors d that k divides.
     """
     net: dict[int, int] = {}
     for d, c in vector.entries:
         if d < 2:
             raise ValueError(f"net exponents need divisors above 1, got {d}")
-        for k, mu in _mobius_terms(d):
+        for k, mu in mobius_exponents(d):
             net[k] = net.get(k, 0) + c * mu
     return {k: e for k, e in sorted(net.items()) if e}
-
-
-@functools.lru_cache(maxsize=None)
-def _mobius_terms(d: int) -> tuple[tuple[int, int], ...]:
-    """(k, mobius(d // k)) for the divisors k of d where it is nonzero."""
-    return tuple((k, mu) for k in divisors(d) if (mu := mobius(d // k)))
 
 
 Rows = list[list[int]]
@@ -700,8 +688,7 @@ def candidate_product(
 ) -> IntPoly:
     """Direct cyclotomic expansion of one candidate split, without the
     leading x, so the constant term is 1; it referees `net_exponents`."""
-    full = _case_vector(case, primes, vector)
-    return _vector_poly(full, CyclotomicCache(), ONE)
+    return _vector_poly(_case_vector(case, primes, vector))
 
 
 def reduced_form_matches(

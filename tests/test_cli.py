@@ -194,10 +194,12 @@ def test_decompose_nonpositive_split(capsys):
         "mixed --sides={},6",
         "unequal --sides={} --targets=6,6",
         "decompose --sides={} --split=1",
+        "oracle --sides {}",
+        "verify --die 1 --die 1 --reference {}",
     ],
 )
 def test_nonpositive_die_size(capsys, argv, size):
-    # every command that enumerates or decomposes checks the size itself
+    # every command that takes a die size checks it, with one message
     code, out, err = run(capsys, *argv.format(size).split())
     assert (code, out, err) == (2, "", f"error: die size must be positive, got {size}\n")
 
@@ -256,6 +258,18 @@ def test_count_prints_answers_of_any_length(capsys, fmt):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_count_of_two_dice_at_a_large_exponent_is_quick(capsys):
+    # the central trinomial numbers, by k T_k = (2k - 1) T_(k-1) + 3(k - 1) T_(k-2)
+    prev, cur = 1, 1
+    for k in range(2, 10_001):
+        prev, cur = cur, ((2 * k - 1) * cur + 3 * (k - 1) * prev) // k
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--dice", "2", "--exponent", "10000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    assert Decimal(out.strip()) == cur
+
+
 # JSON values as envelopes hold them, with the leaves the writer treats
 # apart: ints of any length, bools among ints, None, and strings that need
 # escapes
@@ -299,9 +313,10 @@ def test_identities(capsys):
 
 
 def test_identities_rejects_a_bound_above_the_maximum(capsys):
-    # the battery grows fourfold to sixfold per doubling of the bound, so a
-    # large bound is refused before any work starts; 1001 comes first, since
-    # without the cap it still ends (in about 8 s) and fails the time check
+    # the battery grows threefold to sevenfold per doubling of the bound, so
+    # a large bound is refused before any work starts; 1001 comes first,
+    # since without the cap it still ends (in 5 to 7 s) and fails the time
+    # check
     for bound in (1001, 100_000, 10**12):
         start = time.perf_counter()
         code, out, err = run(capsys, "identities", "--bound", str(bound))

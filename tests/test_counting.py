@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sicherman.counting import (
@@ -29,6 +31,17 @@ def test_count_n_dice():
         count_n_dice(0, 1)
     with pytest.raises(ValueError):
         count_n_dice(2, 0)
+
+
+def test_ratio_updates_match_binomial_terms():
+    # each term from scratch, with two binomials
+    for n in range(1, 8):
+        for k in range(1, 201):
+            want = sum(
+                (-1) ** j * math.comb(k, j) * math.comb(2 * k - 1 - j * (n + 1), k - 1)
+                for j in range(k // (n + 1) + 1)
+            )
+            assert count_n_dice(n, k) == want, (n, k)
 
 
 def test_inclusion_exclusion_matches_series_expansion():

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from sicherman.cyclotomic import (
@@ -11,7 +13,16 @@ from sicherman.cyclotomic import (
     mobius,
     prime_factors,
 )
-from sicherman.polyint import IntPoly, ONE, geometric, x_pow_minus_one
+from sicherman.polyint import (
+    IntPoly,
+    ONE,
+    geometric,
+    one_minus_x_product,
+    x_pow_minus_one,
+)
+
+# the package's `cyclotomic` attribute is the function of that name
+cyclotomic_module = importlib.import_module("sicherman.cyclotomic")
 
 
 def test_prime_factors():
@@ -123,6 +134,20 @@ def test_identity_suite_passes():
     # from 13 up the tower check multiplies sparse polynomials of degree
     # about 20,000, which takes the convolution's sparse branch
     assert check_identity_suite(13).all_passed
+
+
+def test_identity_suite_reads_the_shared_table(monkeypatch):
+    # a second battery in one process expands no phi again
+    check_identity_suite(30)
+    limits = []
+
+    def recording(exponents, limit):
+        limits.append(limit)
+        return one_minus_x_product(exponents, limit)
+
+    monkeypatch.setattr(cyclotomic_module, "one_minus_x_product", recording)
+    assert check_identity_suite(30).all_passed
+    assert limits == []
 
 
 def test_identity_suite_rejects_tiny_bound():

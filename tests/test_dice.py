@@ -29,7 +29,7 @@ def test_die_validation():
         Die((0, 1))
     with pytest.raises(DieError):
         Die((-2,))
-    with pytest.raises(DieError):
+    with pytest.raises(DieError, match="die size must be positive, got 0"):
         Die.standard(0)
     for labels in ((1.7, 2.2), (1, 2.0), (Fraction(3, 1),), ("1",)):
         with pytest.raises(TypeError):

@@ -73,7 +73,7 @@ def test_brute_force_two_sizes():
 
 def test_brute_force_rejects_bad_second_size():
     for m2 in (0, -3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"die size must be positive, got {m2}"):
             brute_force_pairs(5, m2=m2)
 
 

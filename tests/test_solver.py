@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from sicherman.cyclotomic import CyclotomicCache, divisors, mobius
+from sicherman.cyclotomic import divisors, mobius, mobius_exponents
 from sicherman.dice import Die, die_to_poly, poly_to_die, sum_histogram
 from sicherman.polyint import (
     IntPoly,
@@ -323,12 +323,11 @@ def test_one_minus_x_exponent_is_mobius_sum():
 
 def test_positive_exponent_means_negative_coefficient():
     # E_1 > 0 means a negative linear coefficient, on every candidate split
-    cache = CyclotomicCache()
     for m in (12, 18, 30):
         mults = _divisor_mults((m, m))
         for vec in candidate_vectors(mults, m):
             if e1(vec) > 0:
-                assert not _vector_poly(vec, cache).is_nonnegative
+                assert not _vector_poly(vec).is_nonnegative
 
 
 @pytest.mark.parametrize("name", NET_EXPONENT_PROBLEMS)
@@ -337,12 +336,11 @@ def test_net_exponents_match_direct_expansion(name):
     # candidate, and -E_1 is the linear coefficient, so the prefix mask
     # rejects every side with E_1 > 0, for every problem kind
     sizes, face_counts = NET_EXPONENT_PROBLEMS[name]
-    cache = CyclotomicCache()
     mults = _divisor_mults(sizes)
     for vec in candidate_vectors(mults, face_counts[0]):
         for side in (vec, vec.complement(mults)):
             net = net_exponents(side)
-            body = IntPoly(_vector_poly(side, cache).coeffs[1:])
+            body = _vector_poly(side)
             factors = [(one_minus_x_pow(k), e) for k, e in net.items()]
             assert truncated_series_product(factors, body.degree) == body
             assert body[1] == -net.get(1, 0)
@@ -350,6 +348,14 @@ def test_net_exponents_match_direct_expansion(name):
                 assert solver._expand_side(net) == (X * body, None)
             else:
                 assert solver._expand_side(net) == (None, body.first_negative())
+
+
+def test_net_exponents_use_the_cyclotomic_rule():
+    # one statement of phi_d = prod((1 - x^k)^mobius(d/k)), in cyclotomic
+    assert solver.mobius_exponents is mobius_exponents
+    for d in range(2, 201):
+        vec = ExponentVector.from_dict({d: 1})
+        assert net_exponents(vec) == dict(mobius_exponents(d)), d
 
 
 def test_net_exponents_of_phi():
