@@ -12,14 +12,28 @@ import math
 
 from .solver import check_divisor, decompose
 
+# The cost of a count grows faster than k: each of the k/(n+1) terms of
+# `count_n_dice` is a big-integer update of about k digits, so k = 100000
+# took 6-8 s (n = 2 and 3, in process, 2 vCPU, CPython 3.11).  At this bound
+# a count takes about 0.35 s (n = 1), 0.2 s (n = 2 and 3) and 0.03 s (no
+# bound on n), so a larger exponent is refused rather than left to run.
+MAX_COUNT_EXPONENT = 20_000
+
+
+def _check_exponent(k: int) -> None:
+    if k > MAX_COUNT_EXPONENT:
+        raise ValueError(f"exponent must be at most {MAX_COUNT_EXPONENT}, got {k}")
+
 
 def count_unbounded(k: int) -> int:
     """Splits of k cyclotomic factor pairs with no per-slot bound.
 
-    Equals C(2k-1, k-1); the first values are 1, 3, 10, 35, 126.
+    Equals C(2k-1, k-1); the first values are 1, 3, 10, 35, 126.  k runs
+    from 1 to MAX_COUNT_EXPONENT.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
+    _check_exponent(k)
     return math.comb(2 * k - 1, k - 1)
 
 
@@ -34,10 +48,12 @@ def count_n_dice(n: int, k: int) -> int:
 
     Each term's magnitude comes from the one before by an exact integer
     ratio: C(k, j) gains (k - j + 1) / j, and the second binomial, whose top
-    N drops by n + 1, gains perm(N - k + 1, n + 1) / perm(N, n + 1).
+    N drops by n + 1, gains perm(N - k + 1, n + 1) / perm(N, n + 1).  k runs
+    from 1 to MAX_COUNT_EXPONENT.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
+    _check_exponent(k)
     step = n + 1
     top = 2 * k - 1
     term = total = math.comb(top, k - 1)
@@ -57,11 +73,17 @@ def count_two_dice_trinomial(k: int) -> int:
     """Central trinomial form of `count_n_dice(2, k)`.
 
     Sum over i of C(k, i) * C(k-i, i); the first values are 1, 3, 7, 19, 51.
-    This counts the distinct dice of size p^k with standard pair sums.
+    This counts the distinct dice of size p^k with standard pair sums.  The
+    i-th term is k! / (i!^2 (k-2i)!), so each comes from the one before by
+    the exact ratio (k-2i)(k-2i-1) / (i+1)^2.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return sum(math.comb(k, i) * math.comb(k - i, i) for i in range(k // 2 + 1))
+    term = total = 1
+    for i in range(k // 2):
+        term = term * (k - 2 * i) * (k - 2 * i - 1) // (i + 1) ** 2
+        total += term
+    return total
 
 
 def triangular(n: int) -> int:

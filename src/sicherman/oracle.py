@@ -53,7 +53,10 @@ def brute_force_pairs(
     leaves the largest sum m + m2).  Raises BudgetExceeded when more than
     max_nodes assignments are tried, and at once when max_nodes is below
     max(m, m2) - 1: every finished search tries one node for each value
-    2 .. max(m, m2) on its way to the standard pair.
+    2 .. max(m, m2) on its way to the standard pair.  A branch counts all
+    its trials before it tries the first, and the search tries every trial
+    it counts unless it raises, so it raises in exactly the searches that
+    try more than max_nodes, though perhaps before the one that passes it.
 
     When the sizes are equal, the search breaks the symmetry between the
     dice: while the two have held equally many faces of every value so
@@ -67,18 +70,22 @@ def brute_force_pairs(
     digits: conv, the count of placed face pairs with each sum, and pa and
     pb, each die's face count of each value.  Placing da and db faces of
     value v adds (da * pb + db * pa) shifted up v digits, and da * db
-    shifted up 2v digits, to conv.  A digit holds m * m2, the count of all
-    face pairs, with a top bit to spare, and the slack table holds
-    top - 1 - want[s] in digit s, where top is that bit.  So adding a trial
-    conv to the slack carries out of no digit, and sets a top bit exactly
-    where a sum passes its target: a trial fits when their sum has no top
-    bit set.  A branch is a generator holding its own integers, which yields
-    the branch of each placement that fits; the search keeps a stack of
-    these generators, one per label value on the current branch, so a spent
-    branch is popped with its integers and nothing is undone.  A branch
-    with both dice full has every sum at or below its target, and both
-    tables sum to m * m2, so its table equals the target; each such pair is
-    still checked by face enumeration.
+    shifted up 2v digits, to conv.  A branch builds that table only for its
+    first trial, the largest da; the next trial moves one face of value v
+    from the first die to the second, which adds pa - pb shifted up v
+    digits and da - db - 1 shifted up 2v digits, so no trial after the
+    first multiplies.  A digit holds m * m2, the count of all face pairs,
+    with a top bit to spare, and the slack table holds top - 1 - want[s] in
+    digit s, where top is that bit.  So adding a trial conv to the slack
+    carries out of no digit, and sets a top bit exactly where a sum passes
+    its target: a trial fits when their sum has no top bit set.  A branch
+    is a generator holding its own integers, which yields the branch of
+    each placement that fits; the search keeps a stack of these generators,
+    one per label value on the current branch, so a spent branch is popped
+    with its integers and nothing is undone.  A branch with both dice full
+    has every sum at or below its target, and both tables sum to m * m2, so
+    its table equals the target; each such pair is still checked by face
+    enumeration.
 
     >>> for a, b in brute_force_pairs(4):
     ...     print(a.labels, b.labels)
@@ -131,8 +138,13 @@ def brute_force_pairs(
         faces of value v to place, total t, are tried with the first die
         taking da of them, the larger da first; a tied branch, where the
         dice have equal sizes and equal counts of every value below v, tries
-        only da >= t - da.  The slack covers the sums up to 2v, all that a
-        trial can reach, so each trial costs time in v, not in the size."""
+        only da >= t - da.  The branch adds all its trials to the node count
+        before it tries the first, and builds the table of its first trial
+        only: each later one moves one face of value v from the first die
+        to the second.  With t == 0 the one trial places nothing and fits,
+        so its branch is yielded at once.  The slack covers the sums up to
+        2v, all that a trial can reach, so each trial costs time in v, not
+        in the size."""
         nonlocal nodes
         if count_a == m and count_b == m2:
             pair = (Die(labels(pa)), Die(labels(pb)))
@@ -143,25 +155,41 @@ def brute_force_pairs(
         if v > last:
             return
         t = want[v + 1] - ((conv >> bits * (v + 1)) & digit)
-        lo = max(0, t - (m2 - count_b))
-        if tied:
-            lo = max(lo, (t + 1) // 2)
-        low_slack = slack & ((1 << bits * (2 * v + 1)) - 1)
-        shift = bits * v
-        for da in range(min(t, m - count_a), lo - 1, -1):
+        if not t:  # one trial, which places no face of value v and fits
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExceeded(over_budget)
+            yield children(v + 1, count_a, count_b, tied, conv, pa, pb)
+            return
+        # the trials run from da = hi down to lo; comparisons, not min and
+        # max, since a builtin call per branch shows in the search's time
+        hi = m - count_a
+        if hi > t:
+            hi = t
+        lo = t - (m2 - count_b)
+        if tied and 2 * lo < t:
+            lo = (t + 1) // 2
+        elif lo < 0:
+            lo = 0
+        if hi < lo:
+            return
+        nodes += hi - lo + 1
+        if nodes > max_nodes:
+            raise BudgetExceeded(over_budget)
+        low_slack = slack & ((1 << bits * (2 * v + 1)) - 1)
+        shift = bits * v
+        db = t - hi
+        new = conv + ((hi * pb + db * pa) << shift) + (hi * db << 2 * shift)
+        move = (pa - pb) << shift
+        for da in range(hi, lo - 1, -1):
             db = t - da
-            new = conv
-            if t:  # t == 0 places no face of value v
-                new += ((da * pb + db * pa) << shift) + (da * db << 2 * shift)
-                if (new + low_slack) & signs:
-                    continue
-            yield children(
-                v + 1, count_a + da, count_b + db, tied and da == db,
-                new, pa + (da << shift), pb + (db << shift),
-            )
+            if not (new + low_slack) & signs:
+                yield children(
+                    v + 1, count_a + da, count_b + db, tied and da == db,
+                    new, pa + (da << shift), pb + (db << shift),
+                )
+            if da > lo:
+                new += move + ((da - db - 1) << 2 * shift)
 
     # One generator per label value on the current branch, each holding the
     # tables that the values below it leave; a spent one is popped.

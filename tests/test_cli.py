@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sicherman.cli import _any_length_integers, _json_text, build_parser, main
+from sicherman.counting import count_two_dice_trinomial
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -268,6 +269,28 @@ def test_count_of_two_dice_at_a_large_exponent_is_quick(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 0 and err == ""
     assert Decimal(out.strip()) == cur
+
+
+def test_count_rejects_an_exponent_above_the_maximum(capsys):
+    # the cost of a count grows faster than k, so a larger exponent is
+    # refused before any work starts; 20001 comes first, since without the
+    # cap it still ends within the time check
+    for dice in ([], ["--dice", "1"], ["--dice", "2"]):
+        for exponent in (20_001, 10**5, 10**12):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "count", *dice, "--exponent", str(exponent))
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert f"exponent must be at most 20000, got {exponent}" in err
+
+
+def test_count_at_the_maximum_exponent(capsys):
+    code, out, err = run(capsys, "count", "--exponent", "20000")
+    assert code == 0 and err == ""
+    assert Decimal(out.strip()) == math.comb(39_999, 19_999)
+    code, out, err = run(capsys, "count", "--dice", "2", "--exponent", "20000")
+    assert code == 0 and err == ""
+    assert Decimal(out.strip()) == count_two_dice_trinomial(20_000)
 
 
 # JSON values as envelopes hold them, with the leaves the writer treats

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from sicherman.counting import (
+    MAX_COUNT_EXPONENT,
     check_triangular_identity,
     count_n_dice,
     count_two_dice_trinomial,
@@ -54,6 +55,20 @@ def test_inclusion_exclusion_matches_series_expansion():
 def test_trinomial_form_agrees_with_poly_power():
     for k in range(1, 13):
         assert count_n_dice(2, k) == count_two_dice_trinomial(k)
+
+
+def test_trinomial_ratio_updates_match_count_n_dice():
+    for k in range(1, 301):
+        assert count_two_dice_trinomial(k) == count_n_dice(2, k), k
+    assert count_two_dice_trinomial(10_000) == count_n_dice(2, 10_000)
+
+
+def test_counts_refuse_an_exponent_above_the_maximum():
+    assert MAX_COUNT_EXPONENT == 20_000
+    for count in (count_unbounded, lambda k: count_n_dice(2, k)):
+        with pytest.raises(ValueError, match="exponent must be at most 20000, got 20001"):
+            count(20_001)
+    assert count_unbounded(20_000) == math.comb(39_999, 19_999)
 
 
 def test_unbounded_is_the_large_n_limit():

@@ -93,7 +93,8 @@ def test_node_budget_boundaries():
     # A one-faced die leaves one node per value, the floor max(m, m2) - 1.
     boundaries = (
         (6, 6, 41), (9, 9, 325), (12, 12, 2381), (16, 16, 28794),
-        (5, 6, 49), (6, 5, 49), (1, 7, 6), (7, 1, 6),
+        (18, 18, 96016), (5, 6, 49), (6, 5, 49), (1, 7, 6), (7, 1, 6),
+        (9, 12, 1689), (12, 9, 1689), (10, 15, 5482), (15, 10, 5482),
     )
     for m, m2, budget in boundaries:
         assert brute_force_pairs(m, m2=m2, max_nodes=budget)
@@ -106,6 +107,13 @@ def test_deep_search_hits_the_budget_not_the_recursion_limit():
     # 1000, deeper than Python's default recursion limit
     with pytest.raises(BudgetExceeded, match="size 600"):
         brute_force_pairs(600, max_nodes=20_000)
+
+
+def test_wide_search_hits_the_budget():
+    # labels run to 199,999; the slack is masked per branch, since a table
+    # of the masks of every label value would hold about 4 * 10**10 digits
+    with pytest.raises(BudgetExceeded, match="more than 99999 nodes at size 100000"):
+        brute_force_pairs(10**5, max_nodes=99_999)
 
 
 def test_node_budget_must_be_positive():
