@@ -95,7 +95,8 @@ class CyclotomicCache:
             raise ValueError("n must be a positive integer")
         phi = self._table.get(n)
         if phi is None:
-            phi = one_minus_x_product(dict(mobius_exponents(n)), euler_totient(n))
+            net = dict(mobius_exponents(n))
+            phi = IntPoly(one_minus_x_product(net, euler_totient(n)))
             if n == 1:
                 phi = -phi  # phi_1 = x - 1 = -(1 - x)
             if phi.degree != euler_totient(n):

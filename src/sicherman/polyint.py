@@ -7,7 +7,8 @@ integer arithmetic: one convolution serves every product, adding a shifted
 copy of the longer operand per term of the shorter, or, when fewer than one
 in eight coefficients of the longer operand is nonzero (the towers
 phi_n(x^k) of the identity battery), adding term by term.
-`one_minus_x_product` expands products of (1 - x^k)^e by stride recurrences.
+`one_minus_x_product` expands products of (1 - x^k)^e by stride recurrences
+and returns exactly `limit + 1` coefficients as a list, trailing zeros kept.
 
 Values are immutable, so every operation is a pure function and instances are
 safe to share across threads.
@@ -188,10 +189,7 @@ class IntPoly:
 
     def first_negative(self) -> Optional[tuple[int, int]]:
         """The smallest power with a negative coefficient, as (power, value)."""
-        for j, c in enumerate(self.coeffs):
-            if c < 0:
-                return (j, c)
-        return None
+        return first_negative(self.coeffs)
 
     @property
     def is_nonnegative(self) -> bool:
@@ -222,6 +220,14 @@ def geometric(n: int) -> IntPoly:
     return IntPoly((1,) * n)
 
 
+def first_negative(coeffs: Iterable[int]) -> Optional[tuple[int, int]]:
+    """The first negative coefficient of a sequence, as (power, value)."""
+    for j, c in enumerate(coeffs):
+        if c < 0:
+            return (j, c)
+    return None
+
+
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
@@ -244,8 +250,9 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def one_minus_x_product(exponents: Mapping[int, int], limit: int) -> IntPoly:
-    """Expand prod((1 - x^k)^e) over {k: e} as a series truncated at `limit`.
+def one_minus_x_product(exponents: Mapping[int, int], limit: int) -> list[int]:
+    """The coefficients of x^0 .. x^limit of prod((1 - x^k)^e) over {k: e}:
+    exactly limit + 1 of them, trailing zeros kept.
 
     Multiplying by 1 - x^k subtracts a copy shifted by k.  Dividing by it
     makes out[i] += out[i - k] in increasing i: a running sum along each
@@ -271,7 +278,7 @@ def one_minus_x_product(exponents: Mapping[int, int], limit: int) -> IntPoly:
             else:
                 for j in range(k, n, k):
                     out[j : j + k] = map(add, out[j : j + k], out[j - k : j])
-    return IntPoly(out)
+    return out
 
 
 def _series_inverse(base: IntPoly, limit: int) -> list[int]:

@@ -30,14 +30,14 @@ at least 1, this rejects every split with E_1 > 0 on either side.  Only
 the splits that pass go on to the complement skip, the full rule and the
 product check below.
 
-One rule, `_expand_side`, decides every split that passes the prefix, and
-every side in `certify`.  A side body is a product of palindromic phi_d,
-d > 1, so its lower half decides it and determines the rest: that half is
-expanded to twice PREFILTER_DEGREE, past what the prefix decides, then to
-twice the last limit, until a coefficient is negative (the witness)
-or half the degree is reached.  When both dice have the same face count, a
-split and its complement give the same unordered pair, so only one of the
-two is visited.
+One rule, `_expand_side`, decides every split that passes the prefix and
+every side in `certify`, and builds both dice of `decompose`.  A side body
+is a product of palindromic phi_d, d > 1, so its lower half decides it and
+determines the rest: that half is expanded to twice PREFILTER_DEGREE, past
+what the prefix decides, then to twice the last limit, until a coefficient
+is negative (the witness) or half the degree is reached.  When both dice
+have the same face count, a split and its complement give the same
+unordered pair, so only one of the two is visited.
 
 Every surviving pair is checked exactly against the frequency polynomial,
 by one big-integer product (Kronecker substitution).  Both sides have
@@ -56,10 +56,11 @@ from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cyclotomic import cyclotomic, divisors, is_prime, mobius_exponents, prime_factors
-from .dice import Die, die_to_poly, poly_to_die
+from .dice import Die, poly_to_die
 from .polyint import (
     ONE,
     IntPoly,
+    first_negative,
     one_minus_x_pow,
     one_minus_x_product,
     truncated_series_product,
@@ -275,12 +276,11 @@ def _expand_side(
     limit = min(2 * PREFILTER_DEGREE, half)
     while True:
         lower = one_minus_x_product(net, limit)
-        witness = lower.first_negative()
+        witness = first_negative(lower)
         if witness is not None:
             return None, witness
         if limit == half:
-            low = list(lower.coeffs) + [0] * (half + 1 - len(lower.coeffs))
-            return IntPoly([0, *low, *low[: degree - half][::-1]]), None
+            return IntPoly([0, *lower, *lower[: degree - half][::-1]]), None
         limit = min(2 * limit, half)
 
 
@@ -298,13 +298,6 @@ def _prefix_limit(face_counts: Sequence[int]) -> int:
     return min(PREFILTER_DEGREE, max(1, (min(face_counts) - 1) // 2))
 
 
-def _prefix(ks: Sequence[int], net: Iterable[int], limit: int) -> list[int]:
-    """The coefficients of x^0 .. x^limit of prod((1 - x^k)^E_k), for net
-    exponents aligned to `ks`."""
-    series = one_minus_x_product({k: e for k, e in zip(ks, net) if e}, limit)
-    return [*series.coeffs, *[0] * (limit + 1 - len(series.coeffs))]
-
-
 def _prefix_pairs(
     ks: Sequence[int], rows: Rows, full: Sequence[int], limit: int, symmetric: bool
 ) -> list[tuple[list[int], list[int]]]:
@@ -312,11 +305,12 @@ def _prefix_pairs(
     of what it leaves of `full`.  With equal face counts, what row j leaves
     is row n - 1 - j of the n rows (see `_halves`), so each series is
     expanded once and serves both."""
-    left = [_prefix(ks, row, limit) for row in rows]
+    left = [one_minus_x_product(dict(zip(ks, row)), limit) for row in rows]
     if symmetric:
         right = left[::-1]
     else:
-        right = [_prefix(ks, map(sub, full, row), limit) for row in rows]
+        leaves = (map(sub, full, row) for row in rows)
+        right = [one_minus_x_product(dict(zip(ks, net)), limit) for net in leaves]
     return list(zip(left, right))
 
 
@@ -575,28 +569,46 @@ def enumerate_unequal(
 # -- explicit decomposition for one divisor ---------------------------------
 
 
+# The large die of `decompose(m, a)` has m^2/a faces.  Through the CLI with
+# JSON output, (1000, 1) took 0.8-0.9 s and peaked at 131 MB, and (2000, 1)
+# took 3.8 s, peaked at 491 MB and printed 108 MB (2 vCPU, CPython 3.11), so
+# a larger die is refused rather than left to grow with m^2.
+MAX_DECOMPOSE_FACES = 10**6
+
+
+def _check_decomposition(m: int, a: int) -> None:
+    """Raise SolverError unless a divides m > 0 and the large die of the
+    decomposition has at most MAX_DECOMPOSE_FACES faces."""
+    check_divisor(m, a)
+    _check_size(m)
+    faces = m * m // a
+    if faces > MAX_DECOMPOSE_FACES:
+        raise SolverError(
+            f"the large die would have {faces} faces,"
+            f" more than the maximum of {MAX_DECOMPOSE_FACES}"
+        )
+
+
 def decompose(m: int, a: int) -> SolutionPair:
     """The pair with a and m^2/a faces built from one divisor a of m.
 
-    The left die is the standard a-sided die; the right die expands
-    x(x^m-1)^2 / ((x^a-1)(x-1)), which always has nonnegative coefficients.
-    Together they reproduce the sums of two standard m-sided dice.
+    The left die is the standard a-sided die, x(x^a-1)/(x-1), with net
+    exponents {1: -1, a: 1}; the right die is x(x^m-1)^2 / ((x^a-1)(x-1)),
+    with net exponents {1: -1, a: -1, m: 2} (summed where a is 1 or m), and
+    always has nonnegative coefficients.  Both are expanded by
+    `_expand_side`, as every side of the enumeration is.  Together they
+    reproduce the sums of two standard m-sided dice.
     """
-    check_divisor(m, a)
-    _check_size(m)
-    small_die = Die.standard(a)
-    small = die_to_poly(small_die)
-    big = frequency_poly(m, m).div_exact(small)
-    if not big.is_nonnegative:
-        raise AssertionError(f"divisor {a} of {m} gave a negative expansion")
+    _check_decomposition(m, a)
     mults = _divisor_mults((m, m))
-    left_vector = ExponentVector.from_dict(
-        {d: (1 if a % d == 0 else 0) for d in mults}
-    )
-    return SolutionPair(
-        SolutionSide(small_die, small, left_vector),
-        SolutionSide(poly_to_die(big), big, left_vector.complement(mults)),
-    )
+    left = ExponentVector.from_dict({d: (1 if a % d == 0 else 0) for d in mults})
+    sides = []
+    for vector in (left, left.complement(mults)):
+        poly, witness = _expand_side(net_exponents(vector))
+        if poly is None:
+            raise AssertionError(f"divisor {a} of {m} gave the witness {witness}")
+        sides.append(SolutionSide(poly_to_die(poly), poly, vector))
+    return SolutionPair(*sides)
 
 
 def decomposition_die_labels(m: int, a: int) -> Die:
@@ -606,7 +618,7 @@ def decomposition_die_labels(m: int, a: int) -> Die:
     (i-1)a+1 .. ia and 2m-(i+1)a+1 .. 2m-ia appear i times, and the middle
     block m-a+1 .. m appears b times.
     """
-    check_divisor(m, a)
+    _check_decomposition(m, a)
     b = m // a
     labels: list[int] = []
     for i in range(1, b):

@@ -187,6 +187,18 @@ def test_decompose_nonpositive_split(capsys):
         assert f"split must be a positive divisor of 6, got {split}" in err
 
 
+def test_decompose_rejects_a_die_above_the_face_bound(capsys):
+    # the large die has sides^2/split faces, at most 10^6; (1000, 1) is
+    # accepted by the library (test_solver), and the two past it are refused
+    # before any work starts
+    for sides, split, faces in (("1001", "1", 1002001), ("2000", "2", 2000000)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "decompose", "--sides", sides, "--split", split)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert f"would have {faces} faces, more than the maximum of 1000000" in err
+
+
 @pytest.mark.parametrize("size", ["0", "-6"])
 @pytest.mark.parametrize(
     "argv",

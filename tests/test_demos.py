@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and the example in README.md, runs to completion
+against the package in src/."""
 
 import os
 import subprocess
@@ -11,15 +12,28 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def readme_example() -> str:
+    """The one ```python block of README.md."""
+    text = (ROOT / "README.md").read_text()
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    return blocks[0].split("```", 1)[0]
+
+
+SCRIPTS = [pytest.param([str(path)], id=path.name) for path in DEMOS] + [
+    pytest.param(["-c", readme_example()], id="README.md")
+]
+
+
 def test_demos_exist():
     assert DEMOS
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(script):
+@pytest.mark.parametrize("args", SCRIPTS)
+def test_demo_runs(args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, *args],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -17,6 +17,7 @@ from sicherman.polyint import (
     ONE,
     X,
     ZERO,
+    first_negative,
     geometric,
     one_minus_x_pow,
     one_minus_x_product,
@@ -134,6 +135,10 @@ def test_first_negative():
     assert ZERO.is_nonnegative
     assert one_minus_x_pow(1).first_negative() == (1, -1)
     assert IntPoly((0, 2, 0, -5, -7)).first_negative() == (3, -5)
+    # the function reads any coefficient sequence, trailing zeros included
+    assert first_negative([]) is None
+    assert first_negative([1, 0, 0]) is None
+    assert first_negative([1, 0, -2, 0, -1, 0]) == (2, -2)
 
 
 def test_truncated_series_product_positive_exponents():
@@ -164,14 +169,16 @@ def test_truncated_series_product_errors():
 
 
 def test_one_minus_x_product_examples():
-    assert one_minus_x_product({}, 3) == ONE
-    assert one_minus_x_product({1: -1}, 4) == geometric(5)
+    # exactly limit + 1 coefficients, trailing zeros kept
+    assert one_minus_x_product({}, 0) == [1]
+    assert one_minus_x_product({}, 3) == [1, 0, 0, 0]
+    assert one_minus_x_product({1: -1}, 4) == [1, 1, 1, 1, 1]
     # (1-x^2) / (1-x)^2 = (1+x)/(1-x)
-    assert one_minus_x_product({1: -2, 2: 1}, 4) == IntPoly((1, 2, 2, 2, 2))
+    assert one_minus_x_product({1: -2, 2: 1}, 4) == [1, 2, 2, 2, 2]
     # phi_6 = (1-x)(1-x^6) / ((1-x^2)(1-x^3)) is exact at its degree
-    assert one_minus_x_product({1: 1, 2: -1, 3: -1, 6: 1}, 2) == IntPoly((1, -1, 1))
+    assert one_minus_x_product({1: 1, 2: -1, 3: -1, 6: 1}, 2) == [1, -1, 1]
     # factors beyond the limit are 1 as series
-    assert one_minus_x_product({5: 3, 9: -2}, 4) == ONE
+    assert one_minus_x_product({5: 3, 9: -2}, 4) == [1, 0, 0, 0, 0]
 
 
 def test_one_minus_x_product_errors():
@@ -255,6 +262,6 @@ def test_truncated_product_agrees_with_full_product(factors, limit):
 )
 def test_one_minus_x_product_matches_series_product(exponents, limit):
     factors = [(one_minus_x_pow(k), e) for k, e in exponents.items()]
-    assert one_minus_x_product(exponents, limit) == truncated_series_product(
-        factors, limit
-    )
+    series = one_minus_x_product(exponents, limit)
+    assert len(series) == limit + 1
+    assert IntPoly(series) == truncated_series_product(factors, limit)

@@ -271,12 +271,19 @@ def test_decompose():
 
 
 def test_decompose_right_poly_structure():
-    # x(x^m-1)^2/((x^a-1)(x-1)) = (x+...+x^a)(1+x^a+...+x^(a(b-1)))^2
-    for m, a in ((6, 2), (12, 4), (9, 3), (8, 8)):
-        b = m // a
-        blocks = geometric(b).substitute_power(a)
-        expected = X * geometric(a) * blocks * blocks
-        assert decompose(m, a).right.poly == expected
+    # x(x^m-1)^2/((x^a-1)(x-1)) = (x+...+x^a)(1+x^a+...+x^(a(b-1)))^2, and
+    # long division of the frequency polynomial by the standard a-sided die,
+    # a route independent of the net exponents, referees both sides
+    for m in range(1, 41):
+        for a in divisors(m):
+            b = m // a
+            blocks = geometric(b).substitute_power(a)
+            expected = X * geometric(a) * blocks * blocks
+            pair = decompose(m, a)
+            assert pair.right.poly == expected, (m, a)
+            assert pair.right.poly == frequency_poly(m, m).div_exact(pair.left.poly)
+            assert pair.left.poly == die_to_poly(Die.standard(a)), (m, a)
+            assert pair.left.die == Die.standard(a), (m, a)
 
 
 def test_decomposition_die_labels():
@@ -284,11 +291,27 @@ def test_decomposition_die_labels():
         (1, 2, 3, 3, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 8, 8, 9, 10)
     )
     assert decomposition_die_labels(6, 6) == Die.standard(6)
-    for m in range(1, 21):
+    for m in range(1, 41):
         for a in divisors(m):
             assert decomposition_die_labels(m, a) == decompose(m, a).right.die
     with pytest.raises(NotADivisor):
         decomposition_die_labels(10, 4)
+
+
+def test_decomposition_face_bound():
+    # the large die has m^2/a faces: (1000, 1) is at the bound, (1001, 1)
+    # and (1002, 1) are past it; both functions check before building
+    assert solver.MAX_DECOMPOSE_FACES == 10**6
+    for call in (decompose, decomposition_die_labels):
+        for m, a, faces in ((1001, 1, 1002001), (1002, 1, 1004004)):
+            with pytest.raises(SolverError, match=f"would have {faces} faces"):
+                call(m, a)
+        with pytest.raises(SolverError, match="die size must be positive"):
+            call(0, 1)
+    pair = decompose(1000, 1)
+    assert len(pair.right.die.labels) == 10**6
+    assert pair.right.die == decomposition_die_labels(1000, 1)
+    assert pair.right.poly[1000] == 1000
 
 
 def e1(vec):
@@ -633,7 +656,9 @@ def referee_enumeration(sizes, face_counts):
             net = net_exponents(side)
             if net.get(1, 0) > 0:
                 break
-            body = one_minus_x_product(net, sum(k * e for k, e in net.items()))
+            body = IntPoly(
+                one_minus_x_product(net, sum(k * e for k, e in net.items()))
+            )
             if not body.is_nonnegative:
                 break
             poly = X * body
