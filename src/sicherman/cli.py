@@ -51,6 +51,12 @@ EXIT_CAP = 3
 
 SEARCH_CAP_ENV = "SICHERMAN_SEARCH_CAP"
 
+# `verify` enumerates |d1| * |d2| + reference^2 face pairs, about 0.3 us each:
+# reference 1414 with two 1414-faced dice, 3,998,792 pairs, took 1.2 s in
+# process, and reference 4000 with two 2-faced dice 4.6 s (2 vCPU, CPython
+# 3.11).
+MAX_VERIFY_FACE_PAIRS = 4_000_000
+
 
 class UsageError(Exception):
     pass
@@ -135,10 +141,15 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
     if len(args.die) != 2:
         raise UsageError("verify needs exactly two --die arguments")
     dice = [Die.from_text(text) for text in args.die]
+    face_pairs = len(dice[0].labels) * len(dice[1].labels) + args.reference**2
+    if args.reference > 0 and face_pairs > MAX_VERIFY_FACE_PAIRS:
+        raise UsageError(
+            f"verify would enumerate {face_pairs} face pairs,"
+            f" more than the maximum of {MAX_VERIFY_FACE_PAIRS}"
+        )
+    standard = Die.standard(args.reference)
     got = sum_histogram(dice).as_dict()
-    want = sum_histogram(
-        [Die.standard(args.reference), Die.standard(args.reference)]
-    ).as_dict()
+    want = sum_histogram([standard, standard]).as_dict()
     first_diff = None
     for s in sorted(set(got) | set(want)):
         if got.get(s, 0) != want.get(s, 0):

@@ -5,9 +5,9 @@ assigned value by value, and the running sum-frequency table both forces
 the number of faces carrying each value and prunes dead branches.  The
 table and each die's face counts are packed into one integer apiece, a
 fixed-width digit per value, so placing the faces of a value is a few
-big-integer operations and its test one mask.  Each branch is a generator
-that yields the branches one value up, and the search keeps a stack of
-them, so its depth is not bound by Python's recursion limit.  Nothing
+big-integer operations and its test one mask.  The search is one loop over
+a flat stack of branches, each a tuple of its value, face counts and
+tables, so its depth is not bound by Python's recursion limit.  Nothing
 here knows about polynomial factors or imports the solver, so agreement
 with the solver is a meaningful check.  The coprime-sizes sweep, which
 runs the solver, is `solver.conjecture_sweep`.
@@ -15,7 +15,7 @@ runs the solver, is `solver.conjecture_sweep`.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .dice import Die, sum_histogram
 
@@ -37,6 +37,17 @@ def verify_pair_against_standard(
     return sum_histogram([die1, die2]) == sum_histogram(
         [Die.standard(m), Die.standard(m if m2 is None else m2)]
     )
+
+
+def _labels(counts: int, width: int, last: int) -> Die:
+    """The die with each value 1 .. last repeated as often as its digit,
+    `width` bytes wide, in `counts` says."""
+    data = counts.to_bytes(width * (last + 1), "little")
+    return Die([
+        v
+        for v in range(1, last + 1)
+        for _ in range(int.from_bytes(data[v * width : (v + 1) * width], "little"))
+    ])
 
 
 def brute_force_pairs(
@@ -70,22 +81,32 @@ def brute_force_pairs(
     digits: conv, the count of placed face pairs with each sum, and pa and
     pb, each die's face count of each value.  Placing da and db faces of
     value v adds (da * pb + db * pa) shifted up v digits, and da * db
-    shifted up 2v digits, to conv.  A branch builds that table only for its
-    first trial, the largest da; the next trial moves one face of value v
-    from the first die to the second, which adds pa - pb shifted up v
-    digits and da - db - 1 shifted up 2v digits, so no trial after the
-    first multiplies.  A digit holds m * m2, the count of all face pairs,
-    with a top bit to spare, and the slack table holds top - 1 - want[s] in
-    digit s, where top is that bit.  So adding a trial conv to the slack
-    carries out of no digit, and sets a top bit exactly where a sum passes
-    its target: a trial fits when their sum has no top bit set.  A branch
-    is a generator holding its own integers, which yields the branch of
-    each placement that fits; the search keeps a stack of these generators,
-    one per label value on the current branch, so a spent branch is popped
-    with its integers and nothing is undone.  A branch with both dice full
-    has every sum at or below its target, and both tables sum to m * m2, so
-    its table equals the target; each such pair is still checked by face
-    enumeration.
+    shifted up 2v digits, to conv.  A digit holds m * m2, the count of all
+    face pairs, with a top bit to spare, and the slack table holds
+    top - 1 - want[s] in digit s, where top is that bit.  So adding a trial
+    conv to the slack carries out of no digit, and sets a top bit exactly
+    where a sum passes its target: a trial fits when their sum has no top
+    bit set.  The slack is masked to the sums up to 2v, all that a trial
+    can reach, so each trial costs time in v, not in the size.
+
+    A branch is a tuple (v, count_a, count_b, tied, conv, pa, pb) about to
+    place value v, and the search is one loop that pops a branch and
+    enters it.  A branch with both dice full has every sum at or below its
+    target, and both tables sum to m * m2, so its table equals the target;
+    its pair is checked by face enumeration and recorded.  Otherwise the t
+    faces of value v that the table still lacks are tried with the first
+    die taking da of them; a tied branch, where the dice have equal sizes
+    and equal counts of every value below v, tries only da >= t - da.  With
+    t == 0 the one trial places nothing and fits, so it counts one node and
+    is pushed with the branch's tables.  Else the branch adds all its
+    trials to the node count, checks the budget, and builds the table of
+    its smallest da; each next trial moves one face of value v from the
+    second die to the first, which adds pb - pa shifted up v digits and
+    db - 1 - da shifted up 2v digits, so no trial after the first
+    multiplies.  Walking da upward, it pushes each trial that fits, so the
+    largest is popped first, and every branch is entered, counted and
+    checked against the budget in depth-first order, larger da first.  A
+    branch holds its own integers, so a popped one leaves nothing to undo.
 
     >>> for a, b in brute_force_pairs(4):
     ...     print(a.labels, b.labels)
@@ -120,49 +141,27 @@ def brute_force_pairs(
     slack = signs - ones - packed_want
     nodes = 0
     found: list[tuple[Die, Die]] = []
-
-    def labels(counts: int) -> tuple[int, ...]:
-        """Each value repeated as often as its digit in `counts` says."""
-        data = counts.to_bytes(width * (last + 1), "little")
-        return tuple(
-            v
-            for v in range(1, last + 1)
-            for _ in range(int.from_bytes(data[v * width : (v + 1) * width], "little"))
-        )
-
-    def children(
-        v: int, count_a: int, count_b: int, tied: bool, conv: int, pa: int, pb: int
-    ) -> Iterator[Iterator]:
-        """The branches one value up from a branch about to place value v:
-        none, once the pair is recorded, when both dice are full.  Else the
-        faces of value v to place, total t, are tried with the first die
-        taking da of them, the larger da first; a tied branch, where the
-        dice have equal sizes and equal counts of every value below v, tries
-        only da >= t - da.  The branch adds all its trials to the node count
-        before it tries the first, and builds the table of its first trial
-        only: each later one moves one face of value v from the first die
-        to the second.  With t == 0 the one trial places nothing and fits,
-        so its branch is yielded at once.  The slack covers the sums up to
-        2v, all that a trial can reach, so each trial costs time in v, not
-        in the size."""
-        nonlocal nodes
+    # the branches still to enter, the next one on top
+    stack = [(2, 1, 1, m == m2, 1 << 2 * bits, 1 << bits, 1 << bits)]
+    while stack:
+        v, count_a, count_b, tied, conv, pa, pb = stack.pop()
         if count_a == m and count_b == m2:
-            pair = (Die(labels(pa)), Die(labels(pb)))
+            pair = (_labels(pa, width, last), _labels(pb, width, last))
             if not verify_pair_against_standard(pair[0], pair[1], m, m2):
                 raise AssertionError(f"search produced a bad pair {pair}")
             found.append(pair)
-            return
+            continue
         if v > last:
-            return
+            continue
         t = want[v + 1] - ((conv >> bits * (v + 1)) & digit)
         if not t:  # one trial, which places no face of value v and fits
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExceeded(over_budget)
-            yield children(v + 1, count_a, count_b, tied, conv, pa, pb)
-            return
-        # the trials run from da = hi down to lo; comparisons, not min and
-        # max, since a builtin call per branch shows in the search's time
+            stack.append((v + 1, count_a, count_b, tied, conv, pa, pb))
+            continue
+        # the trials run over da = lo .. hi; comparisons, not min and max,
+        # since a builtin call per branch shows in the search's time
         hi = m - count_a
         if hi > t:
             hi = t
@@ -172,32 +171,21 @@ def brute_force_pairs(
         elif lo < 0:
             lo = 0
         if hi < lo:
-            return
+            continue
         nodes += hi - lo + 1
         if nodes > max_nodes:
             raise BudgetExceeded(over_budget)
         low_slack = slack & ((1 << bits * (2 * v + 1)) - 1)
         shift = bits * v
-        db = t - hi
-        new = conv + ((hi * pb + db * pa) << shift) + (hi * db << 2 * shift)
-        move = (pa - pb) << shift
-        for da in range(hi, lo - 1, -1):
+        db = t - lo
+        new = conv + ((lo * pb + db * pa) << shift) + (lo * db << 2 * shift)
+        move = (pb - pa) << shift
+        for da in range(lo, hi + 1):
             db = t - da
             if not (new + low_slack) & signs:
-                yield children(
+                stack.append((
                     v + 1, count_a + da, count_b + db, tied and da == db,
                     new, pa + (da << shift), pb + (db << shift),
-                )
-            if da > lo:
-                new += move + ((da - db - 1) << 2 * shift)
-
-    # One generator per label value on the current branch, each holding the
-    # tables that the values below it leave; a spent one is popped.
-    stack = [children(2, 1, 1, m == m2, 1 << 2 * bits, 1 << bits, 1 << bits)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(child)
+                ))
+            new += move + ((db - 1 - da) << 2 * shift)
     return found

@@ -101,6 +101,22 @@ def _check_size(m: int) -> None:
         raise SolverError(f"die size must be positive, got {m}")
 
 
+# The search cap counts splits, and a size with few splits has work that
+# grows with the size alone.  Through the CLI with JSON output, the prime
+# 49999 took 0.5 s, 49978 = 2 * 24989 and 49983 = 3 * 16661 0.9 s each, the
+# prime 100003 1.1 s, and 1,000,003 was reported at 40 s and 361 MB (2 vCPU,
+# CPython 3.11).  So the enumeration refuses a larger standard size or face
+# count before it factors anything.
+MAX_ENUMERATION_SIZE = 50_000
+
+
+def _check_enumeration_size(n: int, what: str = "die size") -> None:
+    if n > MAX_ENUMERATION_SIZE:
+        raise SolverError(
+            f"{what} {n} is more than the maximum of {MAX_ENUMERATION_SIZE}"
+        )
+
+
 def check_divisor(m: int, a: int) -> None:
     """Raise NotADivisor unless the split a is a positive divisor of m."""
     if a < 1:
@@ -490,9 +506,10 @@ def enumerate_pairs(m: int, *, search_cap: Optional[int] = None) -> list[Solutio
     """All pairs of m-sided dice with standard sum frequencies.
 
     The standard pair is always included.  Pairs are unordered and come back
-    sorted by labels, smaller die first.
+    sorted by labels, smaller die first.  m is at most MAX_ENUMERATION_SIZE.
     """
     _check_size(m)
+    _check_enumeration_size(m)
     return _enumerate((m, m), (m, m), search_cap)
 
 
@@ -501,10 +518,12 @@ def enumerate_mixed(
 ) -> list[SolutionPair]:
     """Pairs matching the sums of standard m1- and m2-sided dice.
 
-    The left die of every returned pair has m1 faces.
+    The left die of every returned pair has m1 faces.  Both sizes are at
+    most MAX_ENUMERATION_SIZE.
     """
-    _check_size(m1)
-    _check_size(m2)
+    for size in (m1, m2):
+        _check_size(size)
+        _check_enumeration_size(size)
     return _enumerate((m1, m2), (m1, m2), search_cap)
 
 
@@ -557,12 +576,15 @@ def enumerate_unequal(
     """Pairs with s1 and s2 faces matching two standard m-sided dice.
 
     Requires s1 * s2 == m * m; the left die of every pair has s1 faces.
+    m, s1 and s2 are at most MAX_ENUMERATION_SIZE.
     """
     _check_size(m)
+    _check_enumeration_size(m)
     if s1 < 1 or s2 < 1:
         raise InvalidTargets(f"face counts must be positive, got {s1},{s2}")
     if s1 * s2 != m * m:
         raise InvalidTargets(f"targets {s1}x{s2} do not multiply to {m}^2")
+    _check_enumeration_size(max(s1, s2), "face count")
     return _enumerate((m, m), (s1, s2), search_cap)
 
 
@@ -667,12 +689,23 @@ def _case(case: str) -> tuple:
     return CASES[case]
 
 
+# A certificate's witness power grows like the product of two of the primes,
+# and a side is expanded to limits that double from x^32.  With every prime
+# at most 1024, each witness of pqr lies below 2^20: (1013, 1019, 1021) took
+# 0.8 s and 117 MB through the CLI, where (1091, 1093, 1097) took 1.7 s and
+# 217 MB and (1993, 1997, 1999) 2.7 s and 443 MB (2 vCPU, CPython 3.11).
+MAX_CERTIFY_PRIME = 1024
+
+
 def _check_primes(case: str, primes: Sequence[int]) -> tuple[int, ...]:
     want = _case(case)[0]
     primes = tuple(primes)
     if len(primes) != want or len(set(primes)) != want:
         raise SolverError(f"case {case} needs {want} distinct primes, got {primes}")
     for p in primes:
+        # before the primality test, whose trial division a huge p stalls
+        if p > MAX_CERTIFY_PRIME:
+            raise SolverError(f"{p} is more than the maximum of {MAX_CERTIFY_PRIME}")
         if not is_prime(p):
             raise SolverError(f"{p} is not prime")
     return primes

@@ -199,6 +199,66 @@ def test_decompose_rejects_a_die_above_the_face_bound(capsys):
         assert f"would have {faces} faces, more than the maximum of 1000000" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("solve --sides 50001", "die size 50001"),
+        ("solve --sides 100003", "die size 100003"),
+        ("solve --sides 1000000007", "die size 1000000007"),
+        ("solve --sides 1000000000000000003", "die size 1000000000000000003"),
+        ("mixed --sides 2,100003", "die size 100003"),
+        ("mixed --sides 1000000007,2", "die size 1000000007"),
+        ("unequal --sides 100003 --targets 1,10000600009", "die size 100003"),
+        ("unequal --sides 224 --targets 1,50176", "face count 50176"),
+        ("unequal --sides 224 --targets 50176,1", "face count 50176"),
+    ],
+)
+def test_enumerations_reject_a_size_above_the_maximum(capsys, argv, message):
+    # a prime size has one split, so the search cap never stops it; a size
+    # or face count above 50000 is refused before anything is factored
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"{message} is more than the maximum of 50000" in err
+
+
+@pytest.mark.parametrize(
+    "argv, prime",
+    [
+        ("certify --case pqr --primes 10007,10009,10037", 10007),
+        ("certify --case pqr --primes 1013,1019,1031", 1031),
+        ("certify --case p2q --primes 2,1000000000000000003", 10**18 + 3),
+    ],
+)
+def test_certify_rejects_a_prime_above_the_maximum(capsys, argv, prime):
+    # the witness power grows like the product of two primes; a prime above
+    # 1024 is refused before its primality test, which a huge one stalls
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"{prime} is more than the maximum of 1024" in err
+
+
+def test_verify_rejects_too_many_face_pairs(capsys):
+    # verify enumerates |d1| * |d2| + reference^2 face pairs, at most 4 * 10^6
+    big = ",".join(map(str, range(1, 2001)))
+    for dice, reference, pairs in (
+        (["1,2", "1,2"], 10**6, 10**12 + 4),
+        (["1,2", "1,2"], 2000, 4_000_004),
+        ([big, big], 1, 4_000_001),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--die", dice[0], "--die", dice[1],
+            "--reference", str(reference),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert f"enumerate {pairs} face pairs, more than the maximum of 4000000" in err
+
+
 @pytest.mark.parametrize("size", ["0", "-6"])
 @pytest.mark.parametrize(
     "argv",

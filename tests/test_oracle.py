@@ -89,11 +89,13 @@ def test_node_budget():
 
 def test_node_budget_boundaries():
     # the smallest budgets that finish, which pin the order the search
-    # tries its nodes in; equal sizes search one orientation of each pair.
+    # tries its nodes in, at every size of the benchmark's oracle workload
+    # (12 to 20) and more; equal sizes search one orientation of each pair.
     # A one-faced die leaves one node per value, the floor max(m, m2) - 1.
     boundaries = (
-        (6, 6, 41), (9, 9, 325), (12, 12, 2381), (16, 16, 28794),
-        (18, 18, 96016), (5, 6, 49), (6, 5, 49), (1, 7, 6), (7, 1, 6),
+        (6, 6, 41), (9, 9, 325), (12, 12, 2381), (13, 13, 4392),
+        (14, 14, 8342), (15, 15, 15291), (16, 16, 28794), (17, 17, 51684),
+        (18, 18, 96016), (19, 19, 171702), (20, 20, 313272), (5, 6, 49), (6, 5, 49), (1, 7, 6), (7, 1, 6),
         (9, 12, 1689), (12, 9, 1689), (10, 15, 5482), (15, 10, 5482),
     )
     for m, m2, budget in boundaries:

@@ -209,6 +209,25 @@ def test_search_cap_must_be_positive():
             assert not isinstance(exc.value, SearchCapExceeded)
 
 
+def test_enumeration_size_bound():
+    # each standard size and face count is at most 50000, checked before
+    # anything is factored, so a huge prime size is refused at once
+    assert solver.MAX_ENUMERATION_SIZE == 50_000
+    for call, message in (
+        (lambda: enumerate_pairs(50_001), "die size 50001"),
+        (lambda: enumerate_pairs(10**18 + 3), f"die size {10**18 + 3}"),
+        (lambda: enumerate_mixed(1, 50_001), "die size 50001"),
+        (lambda: enumerate_mixed(50_001, 1), "die size 50001"),
+        (lambda: enumerate_unequal(50_001, 1, 50_001**2), "die size 50001"),
+        (lambda: enumerate_unequal(224, 50_176, 1), "face count 50176"),
+    ):
+        with pytest.raises(SolverError, match=f"{message} is more than") as exc:
+            call()
+        assert not isinstance(exc.value, SearchCapExceeded)
+    pairs = enumerate_unequal(223, 1, 49_729)  # 223 is prime: one split
+    assert [len(p.right.die.labels) for p in pairs] == [49_729]
+
+
 def test_enumerate_mixed_distinct_primes():
     pairs = enumerate_mixed(2, 3)
     assert labels_of(pairs) == [((1, 2), (1, 2, 3))]
@@ -457,6 +476,15 @@ def test_negative_certificates_expand_only_to_the_witness(
     certs = negative_certificates(case, primes)
     assert [(c.power, c.coefficient) for c in certs] == witnesses
     assert max(limits) < 2 * max(power for power, _ in witnesses)
+
+
+def test_certify_prime_bound():
+    # every witness of primes up to 1024 lies below x^(2^20)
+    assert solver.MAX_CERTIFY_PRIME == 1024
+    assert len(negative_certificates("p2q", (2, 1021))) == 3
+    for primes in ((2, 1031), (1031, 2), (2, 10**18 + 3)):
+        with pytest.raises(SolverError, match=f"{max(primes)} is more than"):
+            negative_certificates("p2q", primes)
 
 
 def test_negative_certificates_missing(monkeypatch):
