@@ -4,7 +4,9 @@ Two independent constructions are provided: `CyclotomicCache.get` builds
 phi_n from the Mobius-product formula, while `cyclotomic_by_division`
 recursively divides x^n - 1 by the phi_d of proper divisors.  Agreement of
 the two routes is part of the test suite, and `check_identity_suite` runs a
-battery of classical and product identities over a parameter range.
+battery of classical and product identities over a parameter range: one
+table of identities, each a name and the cases it generates in order, which
+one loop counts and reports with the first failing case.
 
 `cyclotomic` reads the one table of the process, and `mobius_exponents` is
 the one statement of the Mobius rule, which the solver's net exponents use
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import combinations, permutations
+from math import prod
+from typing import Iterator, Optional
 
 from .polyint import IntPoly, ONE, one_minus_x_product, x_pow_minus_one
 
@@ -143,12 +147,6 @@ class IdentityCheck:
     passed: bool = True
     counterexample: Optional[str] = None
 
-    def record(self, ok: bool, detail: str) -> None:
-        self.cases += 1
-        if not ok and self.passed:
-            self.passed = False
-            self.counterexample = detail
-
 
 @dataclass
 class IdentityReport:
@@ -160,8 +158,29 @@ class IdentityReport:
         return all(c.passed for c in self.checks)
 
 
-def _primes_up_to(limit: int) -> list[int]:
-    return [p for p in range(2, limit + 1) if is_prime(p)]
+def _prime_powers(p: int, m: int, bound: int) -> Iterator[tuple[int, int]]:
+    """(k, p^k) for k = 1, 2, ... while p^k * m <= bound."""
+    k, pk = 1, p
+    while pk * m <= bound:
+        yield k, pk
+        k, pk = k + 1, pk * p
+
+
+def _value_at_one(n: int) -> int:
+    """p when n is a power of the prime p, else 1."""
+    factors = prime_factors(n)
+    return next(iter(factors)) if len(factors) == 1 else 1
+
+
+def _tower_cases(primes: list[int]) -> Iterator[tuple[bool, str]]:
+    """The running product phi_q phi_pq ... phi_{p^k q} against phi_q at
+    x^(p^k), for k = 0 .. 3."""
+    for p, q in permutations(primes, 2):
+        running = ONE
+        for k in range(4):
+            running = running * cyclotomic(p**k * q)
+            holds = running == cyclotomic(q).substitute_power(p**k)
+            yield holds, f"p={p},q={q},k={k}"
 
 
 # The battery's cost grows about threefold to sevenfold each time `bound`
@@ -174,120 +193,64 @@ MAX_IDENTITY_BOUND = 1000
 def check_identity_suite(bound: int) -> IdentityReport:
     """Verify the cyclotomic identity battery for parameters up to `bound`.
 
-    `bound` runs from 2 to MAX_IDENTITY_BOUND.  The two product identities
-    at the end use fixed prime ranges (up to 13 with tower exponent up to 3,
-    and up to 11) independent of `bound`, since their cost is driven by
+    `bound` runs from 2 to MAX_IDENTITY_BOUND.  The battery is a table of
+    identities, each a name and its cases in order, a case being whether
+    it holds and a detail naming its parameters; each check counts its
+    cases and keeps the first failing detail.  The two product identities
+    at the end use fixed prime ranges (up to 13 with tower exponent up to
+    3, and up to 11) independent of `bound`, since their cost is driven by
     prime size rather than the main sweep.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     if bound > MAX_IDENTITY_BOUND:
         raise ValueError(f"bound must be at most {MAX_IDENTITY_BOUND}, got {bound}")
-    phi = cyclotomic
-    report = IdentityReport(bound=bound)
-    primes = _primes_up_to(bound)
-
-    factor_xn = IdentityCheck("x^n - 1 equals the product of phi_d over d | n")
-    for n in range(1, bound + 1):
-        prod = ONE
-        for d in divisors(n):
-            prod = prod * phi(d)
-        factor_xn.record(prod == x_pow_minus_one(n), f"n={n}")
-    report.checks.append(factor_xn)
-
-    two_routes = IdentityCheck("Mobius product agrees with recursive division")
-    for n in range(1, bound + 1):
-        two_routes.record(phi(n) == cyclotomic_by_division(n), f"n={n}")
-    report.checks.append(two_routes)
-
-    prime_geo = IdentityCheck("phi_p is 1 + x + ... + x^(p-1)")
-    for p in primes:
-        expected = IntPoly((1,) * p)
-        prime_geo.record(phi(p) == expected, f"p={p}")
-    report.checks.append(prime_geo)
-
-    lift = IdentityCheck("phi_{p^k m} equals phi_{pm} at x^(p^(k-1))")
-    for p in primes:
-        for m in range(1, bound + 1):
-            if m % p == 0:
-                continue
-            k = 1
-            while p**k * m <= bound:
-                lhs = phi(p**k * m)
-                rhs = phi(p * m).substitute_power(p ** (k - 1))
-                lift.record(lhs == rhs, f"p={p},k={k},m={m}")
-                k += 1
-    report.checks.append(lift)
-
-    coprime_step = IdentityCheck("phi_m * phi_pm equals phi_m at x^p")
-    for p in primes:
-        for m in range(1, bound + 1):
-            if m % p == 0 or p * m > bound:
-                continue
-            lhs = phi(m) * phi(p * m)
-            coprime_step.record(lhs == phi(m).substitute_power(p), f"p={p},m={m}")
-    report.checks.append(coprime_step)
-
-    at_one = IdentityCheck("phi_n(1) is p for prime powers and 1 otherwise")
-    for n in range(2, bound + 1):
-        factors = prime_factors(n)
-        expected = next(iter(factors)) if len(factors) == 1 else 1
-        at_one.record(phi(n).eval_at_one() == expected, f"n={n}")
-    report.checks.append(at_one)
-
-    two_prime = IdentityCheck("closed form for phi_{p^k q} as a ratio")
-    for p in primes:
-        for q in primes:
-            if p == q:
-                continue
-            k = 1
-            while p**k * q <= bound:
-                pk = p**k
-                lhs = phi(pk * q) * x_pow_minus_one(pk) * x_pow_minus_one(pk // p * q)
-                rhs = x_pow_minus_one(pk // p) * x_pow_minus_one(pk * q)
-                two_prime.record(lhs == rhs, f"p={p},k={k},q={q}")
-                k += 1
-    report.checks.append(two_prime)
-
-    three_prime = IdentityCheck("closed form for phi_{pqr} as a ratio")
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            for r in primes:
-                if r <= q or p * q * r > bound:
-                    continue
-                lhs = phi(p * q * r)
-                for a, b in ((1, 1), (p, q), (p, r), (q, r)):
-                    lhs = lhs * x_pow_minus_one(a * b)
-                rhs = x_pow_minus_one(p * q * r)
-                for t in (p, q, r):
-                    rhs = rhs * x_pow_minus_one(t)
-                three_prime.record(lhs == rhs, f"p={p},q={q},r={r}")
-    report.checks.append(three_prime)
-
-    tower = IdentityCheck("prod of phi_{p^i q} for i<=k equals phi_q at x^(p^k)")
-    for p in _primes_up_to(min(bound, 13)):
-        for q in _primes_up_to(min(bound, 13)):
-            if p == q:
-                continue
-            prod = ONE
-            for k in range(4):
-                prod = prod * phi(p**k * q)
-                tower.record(
-                    prod == phi(q).substitute_power(p**k), f"p={p},q={q},k={k}"
-                )
-    report.checks.append(tower)
-
-    fan = IdentityCheck("phi_p phi_pq phi_pr phi_pqr equals phi_p at x^(qr)")
-    small = _primes_up_to(min(bound, 11))
-    for p in small:
-        for q in small:
-            for r in small:
-                if len({p, q, r}) < 3:
-                    continue
-                prod = phi(p) * phi(p * q) * phi(p * r) * phi(p * q * r)
-                fan.record(
-                    prod == phi(p).substitute_power(q * r), f"p={p},q={q},r={r}"
-                )
-    report.checks.append(fan)
-
-    return report
+    phi, xm1 = cyclotomic, x_pow_minus_one  # phi_n and x^n - 1
+    ns = range(1, bound + 1)
+    primes = [p for p in ns if is_prime(p)]
+    battery = [
+        ("x^n - 1 equals the product of phi_d over d | n", (
+            (prod(map(phi, divisors(n)), start=ONE) == xm1(n), f"n={n}") for n in ns
+        )),
+        ("Mobius product agrees with recursive division", (
+            (phi(n) == cyclotomic_by_division(n), f"n={n}") for n in ns
+        )),
+        ("phi_p is 1 + x + ... + x^(p-1)", (
+            (phi(p) == IntPoly((1,) * p), f"p={p}") for p in primes
+        )),
+        ("phi_{p^k m} equals phi_{pm} at x^(p^(k-1))", (
+            (phi(pk * m) == phi(p * m).substitute_power(pk // p), f"p={p},k={k},m={m}")
+            for p in primes for m in range(1, bound // p + 1) if m % p
+            for k, pk in _prime_powers(p, m, bound)
+        )),
+        ("phi_m * phi_pm equals phi_m at x^p", (
+            (phi(m) * phi(p * m) == phi(m).substitute_power(p), f"p={p},m={m}")
+            for p in primes for m in range(1, bound // p + 1) if m % p
+        )),
+        ("phi_n(1) is p for prime powers and 1 otherwise", (
+            (phi(n).eval_at_one() == _value_at_one(n), f"n={n}") for n in ns[1:]
+        )),
+        ("closed form for phi_{p^k q} as a ratio", (
+            (phi(pk * q) * xm1(pk) * xm1(pk // p * q) == xm1(pk // p) * xm1(pk * q),
+             f"p={p},k={k},q={q}")
+            for p, q in permutations(primes, 2) for k, pk in _prime_powers(p, q, bound)
+        )),
+        ("closed form for phi_{pqr} as a ratio", (
+            (phi(p * q * r) * xm1(1) * xm1(p * q) * xm1(p * r) * xm1(q * r)
+             == xm1(p * q * r) * xm1(p) * xm1(q) * xm1(r), f"p={p},q={q},r={r}")
+            for p, q, r in combinations(primes, 3) if p * q * r <= bound
+        )),
+        ("prod of phi_{p^i q} for i<=k equals phi_q at x^(p^k)",
+         _tower_cases([p for p in primes if p <= 13])),
+        ("phi_p phi_pq phi_pr phi_pqr equals phi_p at x^(qr)", (
+            (phi(p) * phi(p * q) * phi(p * r) * phi(p * q * r)
+             == phi(p).substitute_power(q * r), f"p={p},q={q},r={r}")
+            for p, q, r in permutations([p for p in primes if p <= 11], 3)
+        )),
+    ]
+    checks = []
+    for name, cases in battery:
+        outcomes = list(cases)
+        failure = next((detail for holds, detail in outcomes if not holds), None)
+        checks.append(IdentityCheck(name, len(outcomes), failure is None, failure))
+    return IdentityReport(bound, checks)

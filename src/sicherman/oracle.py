@@ -22,6 +22,13 @@ from .dice import Die, sum_histogram
 
 DEFAULT_MAX_NODES = 2_000_000
 
+# The node budget bounds nodes, not the 2(m + m2)-digit tables or the cost
+# of a node, which grow with the size.  Through the CLI with the default
+# budget, size 10^5 took 10.4 s and 79 MB, 3 * 10^5 15.9 s and 205 MB, and
+# 10^6 27.4 s and 650 MB, each ending on the budget (2 vCPU, CPython
+# 3.11).  So a larger size is refused before anything is built.
+MAX_ORACLE_SIZE = 100_000
+
 
 class BudgetExceeded(Exception):
     """The node budget ran out before the search finished."""
@@ -68,6 +75,7 @@ def brute_force_pairs(
     its trials before it tries the first, and the search tries every trial
     it counts unless it raises, so it raises in exactly the searches that
     try more than max_nodes, though perhaps before the one that passes it.
+    After that floor, a size above MAX_ORACLE_SIZE raises ValueError.
 
     When the sizes are equal, the search breaks the symmetry between the
     dice: while the two have held equally many faces of every value so
@@ -125,6 +133,11 @@ def brute_force_pairs(
     over_budget = f"more than {max_nodes} nodes at {sizes}"
     if max_nodes < max(m, m2) - 1:
         raise BudgetExceeded(over_budget)
+    for size in (m, m2):
+        if size > MAX_ORACLE_SIZE:
+            raise ValueError(
+                f"die size {size} is more than the maximum of {MAX_ORACLE_SIZE}"
+            )
 
     last = m + m2 - 1  # the largest label
     # want[s] counts the face pairs (a, b), a <= m and b <= m2, with a + b = s

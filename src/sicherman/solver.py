@@ -51,6 +51,7 @@ multiply to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, prod
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -378,13 +379,9 @@ def _prefix_survivors(
         column = signs
         for i in range(width - 1, n * width, width):
             column &= int.from_bytes(data[i::stride], "little")
+        # each byte of flags is 0x80 (both products pass) or 0
         flags = column.to_bytes(len(tails), "little")
-        found = []
-        j = flags.find(0x80)
-        while j >= 0:
-            found.append(j)
-            j = flags.find(0x80, j + 1)
-        yield found
+        yield list(compress(range(len(tails)), flags))
 
 
 def _halves(

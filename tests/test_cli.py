@@ -459,6 +459,16 @@ def test_oracle_budget_below_the_floor_exits_before_building():
     assert result.stderr == f"error: more than 10 nodes at size {10**12}\n"
 
 
+@pytest.mark.parametrize("sides", [100_001, 1_000_000])
+def test_oracle_rejects_a_size_above_the_maximum(capsys, sides):
+    # the node budget bounds nodes, not the tables a branch builds
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--sides", str(sides))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"die size {sides} is more than the maximum of 100000" in err
+
+
 def test_oracle_rejects_nonpositive_budget(capsys):
     for raw in ("0", "-1"):
         code, out, err = run(capsys, "oracle", "--sides", "3", "--max-nodes", raw)

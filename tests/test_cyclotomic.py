@@ -2,6 +2,7 @@ import importlib
 
 import pytest
 
+from sicherman.cli import main
 from sicherman.cyclotomic import (
     CyclotomicCache,
     check_identity_suite,
@@ -131,6 +132,16 @@ def test_identity_suite_passes():
     assert by_name["x^n - 1 equals the product of phi_d over d | n"].cases == 12
     # the fixed-prime product checks run even when bound is small
     assert by_name["prod of phi_{p^i q} for i<=k equals phi_q at x^(p^k)"].cases > 0
+    # every identity's case count, in battery order
+    counts = {
+        2: [2, 2, 1, 1, 1, 1, 0, 0, 0, 0],
+        12: [12, 12, 5, 14, 10, 11, 5, 0, 80, 60],
+        30: [30, 30, 10, 43, 32, 29, 19, 1, 120, 60],
+    }
+    for bound, cases in counts.items():
+        report = check_identity_suite(bound)
+        assert report.all_passed
+        assert [c.cases for c in report.checks] == cases
     # from 13 up the tower check multiplies sparse polynomials of degree
     # about 20,000, which takes the convolution's sparse branch
     assert check_identity_suite(13).all_passed
@@ -148,6 +159,33 @@ def test_identity_suite_reads_the_shared_table(monkeypatch):
     monkeypatch.setattr(cyclotomic_module, "one_minus_x_product", recording)
     assert check_identity_suite(30).all_passed
     assert limits == []
+
+
+def test_identity_suite_reports_the_first_failure(monkeypatch, capsys):
+    # a referee that is wrong at n = 6 and n = 10 fails the two-routes check
+    # at the first of them, and only that check
+    by_division = cyclotomic_module.cyclotomic_by_division
+
+    def wrong_at_6_and_10(n):
+        return by_division(n) + ONE if n in (6, 10) else by_division(n)
+
+    monkeypatch.setattr(
+        cyclotomic_module, "cyclotomic_by_division", wrong_at_6_and_10
+    )
+    report = check_identity_suite(12)
+    assert not report.all_passed
+    name = "Mobius product agrees with recursive division"
+    failed = [
+        (c.name, c.cases, c.passed, c.counterexample)
+        for c in report.checks
+        if not c.passed
+    ]
+    assert failed == [(name, 12, False, "n=6")]
+
+    assert main(["identities", "--bound", "12"]) == 1
+    assert f"{name}: 12 cases, FAIL at n=6\n" in capsys.readouterr().out
+    assert main(["identities", "--bound", "12", "--format", "json"]) == 1
+    assert '"status": "fail"' in capsys.readouterr().out
 
 
 def test_identity_suite_rejects_tiny_bound():

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from sicherman import oracle
 from sicherman.dice import Die, sum_histogram
 from sicherman.oracle import (
+    MAX_ORACLE_SIZE,
     BudgetExceeded,
     brute_force_pairs,
     verify_pair_against_standard,
@@ -116,6 +117,18 @@ def test_wide_search_hits_the_budget():
     # of the masks of every label value would hold about 4 * 10**10 digits
     with pytest.raises(BudgetExceeded, match="more than 99999 nodes at size 100000"):
         brute_force_pairs(10**5, max_nodes=99_999)
+
+
+def test_size_above_the_maximum_is_refused():
+    # the budget bounds nodes, not the tables a branch builds, which grow
+    # with the size; the budget floor is still checked first
+    for m, m2 in ((100_001, None), (10**6, None), (3, 100_001)):
+        size = max(m, m2 or m)
+        message = f"die size {size} is more than the maximum of 100000"
+        with pytest.raises(ValueError, match=message):
+            brute_force_pairs(m, m2=m2)
+    with pytest.raises(BudgetExceeded):
+        brute_force_pairs(MAX_ORACLE_SIZE + 1, max_nodes=10)
 
 
 def test_node_budget_must_be_positive():
