@@ -21,7 +21,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -175,7 +174,7 @@ def cmd_identities(args) -> tuple[dict, dict, int]:
     report = check_identity_suite(args.bound)
     results = {
         "all_passed": report.all_passed,
-        "checks": [asdict(c) for c in report.checks],
+        "checks": [c._asdict() for c in report.checks],
     }
     return {"bound": args.bound}, results, EXIT_OK if report.all_passed else EXIT_FAIL
 

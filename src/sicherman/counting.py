@@ -21,6 +21,8 @@ MAX_COUNT_EXPONENT = 20_000
 
 
 def _check_exponent(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"exponent must be positive, got {k}")
     if k > MAX_COUNT_EXPONENT:
         raise ValueError(f"exponent must be at most {MAX_COUNT_EXPONENT}, got {k}")
 
@@ -31,8 +33,6 @@ def count_unbounded(k: int) -> int:
     Equals C(2k-1, k-1); the first values are 1, 3, 10, 35, 126.  k runs
     from 1 to MAX_COUNT_EXPONENT.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
     _check_exponent(k)
     return math.comb(2 * k - 1, k - 1)
 
@@ -51,8 +51,8 @@ def count_n_dice(n: int, k: int) -> int:
     N drops by n + 1, gains perm(N - k + 1, n + 1) / perm(N, n + 1).  k runs
     from 1 to MAX_COUNT_EXPONENT.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive integers")
+    if n < 1:
+        raise ValueError(f"number of dice must be positive, got {n}")
     _check_exponent(k)
     step = n + 1
     top = 2 * k - 1
@@ -75,10 +75,10 @@ def count_two_dice_trinomial(k: int) -> int:
     Sum over i of C(k, i) * C(k-i, i); the first values are 1, 3, 7, 19, 51.
     This counts the distinct dice of size p^k with standard pair sums.  The
     i-th term is k! / (i!^2 (k-2i)!), so each comes from the one before by
-    the exact ratio (k-2i)(k-2i-1) / (i+1)^2.
+    the exact ratio (k-2i)(k-2i-1) / (i+1)^2.  k runs from 1 to
+    MAX_COUNT_EXPONENT.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_exponent(k)
     term = total = 1
     for i in range(k // 2):
         term = term * (k - 2 * i) * (k - 2 * i - 1) // (i + 1) ** 2

@@ -16,10 +16,9 @@ too.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import prod
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .polyint import IntPoly, ONE, one_minus_x_product, x_pow_minus_one
 
@@ -140,18 +139,16 @@ def cyclotomic_by_division(n: int) -> IntPoly:
     return table[n]
 
 
-@dataclass
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     cases: int = 0
     passed: bool = True
     counterexample: Optional[str] = None
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     bound: int
-    checks: list[IdentityCheck] = field(default_factory=list)
+    checks: list[IdentityCheck]
 
     @property
     def all_passed(self) -> bool:

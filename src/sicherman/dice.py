@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from operator import index
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .polyint import IntPoly
 
@@ -30,19 +29,36 @@ class NonzeroConstantTerm(DieError):
     """A die has no label 0, so its polynomial has constant term 0."""
 
 
-@dataclass(frozen=True)
 class Die:
     """An ordered tuple of face labels, each a positive integer."""
 
+    __slots__ = ("labels",)
+
     labels: tuple[int, ...]
 
-    def __post_init__(self):
-        labels = tuple(sorted(map(index, self.labels)))
+    def __init__(self, labels: Iterable[int]):
+        labels = tuple(sorted(map(index, labels)))
         if not labels:
             raise DieError("a die needs at least one face")
         if labels[0] < 1:
             raise DieError("labels must be positive integers")
         object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Die is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Die) and self.labels == other.labels
+
+    def __hash__(self) -> int:
+        return hash(self.labels)
+
+    def __repr__(self) -> str:
+        return f"Die(labels={self.labels!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return Die, (self.labels,)
 
     @classmethod
     def standard(cls, m: int) -> Die:
@@ -91,8 +107,7 @@ def poly_to_die(poly: IntPoly) -> Die:
     return Die(tuple(labels))
 
 
-@dataclass(frozen=True)
-class SumHistogram:
+class SumHistogram(NamedTuple):
     """Frequency of each attainable sum, as a sorted tuple of (sum, count)."""
 
     entries: tuple[tuple[int, int], ...]

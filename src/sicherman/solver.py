@@ -50,11 +50,10 @@ multiply to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, prod
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cyclotomic import cyclotomic, divisors, is_prime, mobius_exponents, prime_factors
 from .dice import Die, poly_to_die
@@ -132,8 +131,7 @@ def frequency_poly(m1: int, m2: int) -> IntPoly:
     return IntPoly([0, 0, *[min(s, m1, m2, m1 + m2 - s) for s in range(1, m1 + m2)]])
 
 
-@dataclass(frozen=True)
-class ExponentVector:
+class ExponentVector(NamedTuple):
     """Cyclotomic exponents of one die, as sorted (divisor, exponent) pairs.
 
     Every divisor that appears in the frequency polynomial is listed, so two
@@ -159,15 +157,13 @@ class ExponentVector:
         return ExponentVector.from_dict({d: mults[d] - self[d] for d in mults})
 
 
-@dataclass(frozen=True)
-class SolutionSide:
+class SolutionSide(NamedTuple):
     die: Die
     poly: IntPoly
     vector: ExponentVector
 
 
-@dataclass(frozen=True)
-class SolutionPair:
+class SolutionPair(NamedTuple):
     left: SolutionSide
     right: SolutionSide
 
@@ -524,15 +520,13 @@ def enumerate_mixed(
     return _enumerate((m1, m2), (m1, m2), search_cap)
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     sizes: tuple[int, int]
     pair_count: int
     nontrivial: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     bound: int
     entries: tuple[SweepEntry, ...]
 
@@ -669,8 +663,7 @@ CASES = {
 }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A negative coefficient excluding one candidate split."""
 
     case: str

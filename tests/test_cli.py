@@ -356,6 +356,16 @@ def test_count_rejects_an_exponent_above_the_maximum(capsys):
             assert f"exponent must be at most 20000, got {exponent}" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--dice", "0", "--exponent", "3"], "number of dice must be positive, got 0"),
+    (["--dice", "-2", "--exponent", "3"], "number of dice must be positive, got -2"),
+    (["--exponent", "0"], "exponent must be positive, got 0"),
+    (["--dice", "2", "--exponent", "-1"], "exponent must be positive, got -1"),
+])
+def test_count_names_the_value_it_refuses(capsys, argv, message):
+    assert run(capsys, "count", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_count_at_the_maximum_exponent(capsys):
     code, out, err = run(capsys, "count", "--exponent", "20000")
     assert code == 0 and err == ""
@@ -407,6 +417,14 @@ def test_identities(capsys):
     assert env["results"]["all_passed"] is True
 
 
+def test_identities_json_checks_have_the_record_fields(capsys):
+    code, out, _ = run(capsys, "identities", "--bound", "12", "--format", "json")
+    checks = json.loads(out)["results"]["checks"]
+    assert code == 0 and len(checks) == 10
+    for check in checks:
+        assert sorted(check) == ["cases", "counterexample", "name", "passed"]
+
+
 def test_identities_rejects_a_bound_above_the_maximum(capsys):
     # the battery grows threefold to sevenfold per doubling of the bound, so
     # a large bound is refused before any work starts; 1001 comes first,
@@ -418,6 +436,20 @@ def test_identities_rejects_a_bound_above_the_maximum(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert f"bound must be at most 1000, got {bound}" in err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # each command is a fresh process, and `dataclasses` with the `inspect`
+    # it imports was most of the time `import sicherman` took
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import sicherman, sicherman.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 def test_oracle(capsys):

@@ -65,10 +65,27 @@ def test_trinomial_ratio_updates_match_count_n_dice():
 
 def test_counts_refuse_an_exponent_above_the_maximum():
     assert MAX_COUNT_EXPONENT == 20_000
-    for count in (count_unbounded, lambda k: count_n_dice(2, k)):
+    for count in (
+        count_unbounded, lambda k: count_n_dice(2, k), count_two_dice_trinomial
+    ):
         with pytest.raises(ValueError, match="exponent must be at most 20000, got 20001"):
             count(20_001)
     assert count_unbounded(20_000) == math.comb(39_999, 19_999)
+    assert count_two_dice_trinomial(20_000) == count_n_dice(2, 20_000)
+
+
+def test_counts_name_the_value_they_refuse():
+    for count in (
+        count_unbounded, lambda k: count_n_dice(2, k), count_two_dice_trinomial
+    ):
+        for k in (0, -3):
+            with pytest.raises(ValueError, match=f"^exponent must be positive, got {k}$"):
+                count(k)
+    for n in (0, -1):
+        with pytest.raises(
+            ValueError, match=f"^number of dice must be positive, got {n}$"
+        ):
+            count_n_dice(n, 3)
 
 
 def test_unbounded_is_the_large_n_limit():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,21 @@ def test_die_validation():
     for labels in ((1.7, 2.2), (1, 2.0), (Fraction(3, 1),), ("1",)):
         with pytest.raises(TypeError):
             Die(labels)
+
+
+def test_die_is_an_immutable_value():
+    die = Die((3, 1, 2))
+    assert die == Die([1, 2, 3]) == Die(labels=(2, 3, 1))
+    assert die != Die((1, 2, 4)) and die != (1, 2, 3) and die != "1,2,3"
+    assert hash(die) == hash(Die((1, 2, 3)))
+    assert len({die, Die((1, 2, 3)), Die((1, 2, 4))}) == 2
+    assert repr(die) == "Die(labels=(1, 2, 3))"
+    with pytest.raises(AttributeError):
+        die.labels = (4,)
+    with pytest.raises(AttributeError):
+        die.faces = 3
+    assert die.labels == (1, 2, 3)
+    assert copy.copy(die) == die == pickle.loads(pickle.dumps(die))
 
 
 def test_die_text_roundtrip():

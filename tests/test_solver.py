@@ -147,6 +147,26 @@ def test_exponent_vector():
     assert v.as_dict() == {2: 1, 3: 0, 6: 2}
     comp = v.complement({2: 2, 3: 2, 6: 2})
     assert comp.as_dict() == {2: 1, 3: 2, 6: 0}
+    assert isinstance(comp, ExponentVector)
+    assert comp.complement({2: 2, 3: 2, 6: 2}) == v
+    assert ExponentVector.from_dict({}).as_dict() == {}
+
+
+def test_exponent_vector_iteration_ends():
+    # `v[d]` looks up the divisor d and gives 0 when it is absent, so
+    # iterating through it would never end: the vector iterates its fields
+    v = ExponentVector.from_dict({2: 1, 3: 0})
+    assert len(list(itertools.islice(v, 3))) == 1
+    assert v[2] == 1 and v[7] == 0
+
+
+def test_solution_pair_sorted_sides():
+    sich = enumerate_pairs(6)[0]
+    assert sich.labels == ((1, 2, 2, 3, 3, 4), (1, 3, 4, 5, 6, 8))
+    assert sich.sorted_sides() is sich
+    swapped = SolutionPair(sich.right, sich.left)
+    assert swapped.dice == (sich.right.die, sich.left.die)
+    assert swapped.sorted_sides() == sich
 
 
 def test_enumerate_pairs_six():
