@@ -57,6 +57,10 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return IntPoly, (self.coeffs,)
+
     # -- structure ---------------------------------------------------------
 
     @property

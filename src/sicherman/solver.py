@@ -27,39 +27,46 @@ substitution).  The digit width comes from a bound proven by the triangle
 inequality, with a bias that leaves a digit's top bit set exactly when its
 coefficient is nonnegative.  Since -E_1 is the linear coefficient and L is
 at least 1, this rejects every split with E_1 > 0 on either side.  Only
-the splits that pass go on to the complement skip, the full rule and the
-product check below.
+the splits that pass go on to the complement skip, the full rule for the
+left side and the quotient for the right, below.
 
-One rule, `_expand_side`, decides every split that passes the prefix and
-every side in `certify`, and builds both dice of `decompose`.  A side body
-is a product of palindromic phi_d, d > 1, so its lower half decides it and
-determines the rest: that half is expanded to twice PREFILTER_DEGREE, past
-what the prefix decides, then to twice the last limit, until a coefficient
-is negative (the witness) or half the degree is reached.  When both dice
-have the same face count, a split and its complement give the same
-unordered pair, so only one of the two is visited.
+One rule, `_expand_side`, decides the left side of every split that passes
+the prefix and every side in `certify`, and builds both dice of
+`decompose`.  A side body is a product of palindromic phi_d, d > 1, so its
+lower half decides it and determines the rest: that half is expanded to
+twice PREFILTER_DEGREE, past what the prefix decides, then to twice the
+last limit, until a coefficient is negative (the witness) or half the
+degree is reached.  When both dice have the same face count, a split and
+its complement give the same unordered pair, so only one of the two is
+visited.
 
-Every surviving pair is checked exactly against the frequency polynomial,
-by one big-integer product (Kronecker substitution).  Both sides have
-nonnegative coefficients, so once their values at x=1 multiply to the face
-count product F, no coefficient of their product exceeds F.  Packed as
-digits in a base above F, the sides then multiply with no carry, and the
-product equals the packed frequency polynomial exactly when the polynomials
-multiply to it.
+The right side of a split whose left side L passes is the quotient F / L
+of the frequency polynomial F, taken by one big-integer division
+(`_right_side_rule`): F and L are packed as digits in a base above the face
+count product F(1).  L divides F in Z[x], so the remainder is 0.  The split
+is kept when the quotient is nonnegative, fits in deg F - deg L + 1 digits,
+and its digits times L(1) sum to F(1).  Then no coefficient of L times the
+digits' polynomial exceeds F(1), so that product packs with no carry and
+equals F: the digits are exactly the right side's coefficients.  A
+nonnegative right side always passes, since none of its coefficients
+exceeds F(1).  So each split expands one side, not two, and needs no
+product check.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import compress
 from math import gcd, prod
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cyclotomic import cyclotomic, divisors, is_prime, mobius_exponents, prime_factors
 from .dice import Die, poly_to_die
 from .polyint import (
     ONE,
     IntPoly,
+    NonExactDivision,
     first_negative,
     one_minus_x_pow,
     one_minus_x_product,
@@ -147,14 +154,17 @@ class ExponentVector(NamedTuple):
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
 
-    def __getitem__(self, d: int) -> int:
+    def exponent(self, d: int) -> int:
+        """The exponent of phi_d, 0 when d is not listed."""
         for key, c in self.entries:
             if key == d:
                 return c
         return 0
 
     def complement(self, mults: dict[int, int]) -> ExponentVector:
-        return ExponentVector.from_dict({d: mults[d] - self[d] for d in mults})
+        return ExponentVector.from_dict(
+            {d: mults[d] - self.exponent(d) for d in mults}
+        )
 
 
 class SolutionSide(NamedTuple):
@@ -304,6 +314,50 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     )
 
 
+# The native unsigned format of each digit width that `_digits` reads.
+_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _digits(value: int, n: int, width: int) -> Optional[Sequence[int]]:
+    """The n digits of `width` bytes of value, lowest first, as `_pack`
+    packs them, or None if value is negative or needs more than n digits."""
+    try:
+        data = value.to_bytes(n * width, sys.byteorder)
+    except OverflowError:
+        return None
+    digits = memoryview(data).cast(_DIGIT_FORMATS[width])
+    return digits if sys.byteorder == "little" else digits[::-1]
+
+
+def _right_side_rule(
+    sizes: tuple[int, int],
+) -> Callable[[IntPoly], Optional[IntPoly]]:
+    """The rule that takes a split's right side as F / L, where F is the
+    frequency polynomial of two standard dice of `sizes` and L is a
+    nonnegative left side: F / L when it has no negative coefficient, else
+    None.  Raises NonExactDivision when L does not divide F.  See the module
+    docstring for why one packed division decides it exactly.
+    """
+    freq = frequency_poly(*sizes).coeffs
+    faces = sizes[0] * sizes[1]
+    # Digits of `width` bytes hold every value up to `faces`, rounded up to a
+    # width that `_digits` reads by one cast; the size bounds keep `faces`
+    # below 2^32.
+    width = 1 << ((faces.bit_length() + 7) // 8 - 1).bit_length()
+    packed_freq = _pack(freq, width)
+
+    def right_side(left: IntPoly) -> Optional[IntPoly]:
+        quotient, remainder = divmod(packed_freq, _pack(left.coeffs, width))
+        if remainder:
+            raise NonExactDivision(f"{left!r} does not divide the frequency poly")
+        right = _digits(quotient, len(freq) - len(left.coeffs) + 1, width)
+        if right is None or sum(left.coeffs) * sum(right) != faces:
+            return None
+        return IntPoly(right)
+
+    return right_side
+
+
 def _prefix_limit(face_counts: Sequence[int]) -> int:
     """The last power the prefix mask decides: PREFILTER_DEGREE, or half
     the body degree of a standard die with the smaller face count, but never
@@ -434,12 +488,7 @@ def _enumerate(
         raise SolverError(f"search_cap must be at least 1, got {cap}")
     mults = _divisor_mults(sizes)
     left_size, right_size = face_counts
-    faces = left_size * right_size
-    # Digits of `width` bytes hold every value up to `faces`, which bounds
-    # every coefficient of a product of two nonnegative sides that multiply
-    # to `faces` at x=1.
-    width = (faces.bit_length() + 7) // 8
-    packed_freq = _pack(frequency_poly(*sizes).coeffs, width)
+    right_side = _right_side_rule(sizes)
     symmetric = left_size == right_size
     divs, ks, [(head, head_full), (tail, tail_full)] = _halves(mults, left_size, cap)
     total_net = [*map(add, head_full, tail_full)]
@@ -474,19 +523,16 @@ def _enumerate(
             left_poly, _ = _expand_side({k: e for k, e in zip(ks, left_net) if e})
             if left_poly is None:
                 continue
-            right_poly, _ = _expand_side({k: e for k, e in zip(ks, right_net) if e})
+            try:
+                right_poly = right_side(left_poly)
+            except NonExactDivision:
+                raise AssertionError(
+                    f"split {vector(left_net)} does not multiply back"
+                    " to the frequency poly"
+                ) from None
             if right_poly is None:
                 continue
-            left_vector = vector(left_net)
-            if (
-                left_poly.eval_at_one() * right_poly.eval_at_one() != faces
-                or _pack(left_poly.coeffs, width) * _pack(right_poly.coeffs, width)
-                != packed_freq
-            ):
-                raise AssertionError(
-                    f"split {left_vector} does not multiply back to the frequency poly"
-                )
-            left = SolutionSide(poly_to_die(left_poly), left_poly, left_vector)
+            left = SolutionSide(poly_to_die(left_poly), left_poly, vector(left_net))
             right = SolutionSide(poly_to_die(right_poly), right_poly, vector(right_net))
             pair = SolutionPair(left, right)
             if symmetric:

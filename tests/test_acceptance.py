@@ -153,11 +153,11 @@ def test_criterion_03_eight_pairs_for_p2q():
     ok = all(n == 8 and d == 15 and t < 5.0 for n, d, t in counts.values())
 
     def key(vec):
-        return vec[2], vec[4], vec[6], vec[12]
+        return vec.exponent(2), vec.exponent(4), vec.exponent(6), vec.exponent(12)
 
     got = set()
     for p in enumerate_pairs(12):
-        assert p.left.vector[3] == p.right.vector[3] == 1
+        assert p.left.vector.exponent(3) == p.right.vector.exponent(3) == 1
         got.add(tuple(sorted((key(p.left.vector), key(p.right.vector)))))
     want = {tuple(sorted(pair)) for pair in P2Q_TWELVE_PAIRS}
     ok = ok and got == want
@@ -187,11 +187,14 @@ def test_criterion_04_thirteen_pairs_for_pqr():
     assert len(want) == 13
 
     def key(vec):
-        return vec[6], vec[10], vec[15], vec[30]
+        return vec.exponent(6), vec.exponent(10), vec.exponent(15), vec.exponent(30)
 
     got = set()
     for p in enumerate_pairs(30):
-        assert all(p.left.vector[d] == p.right.vector[d] == 1 for d in (2, 3, 5))
+        assert all(
+            p.left.vector.exponent(d) == p.right.vector.exponent(d) == 1
+            for d in (2, 3, 5)
+        )
         got.add(tuple(sorted((key(p.left.vector), key(p.right.vector)))))
     ok = ok and got == want
     report(4, ok, f"4 sizes give 13 pairs / 25 dice, m=30 vectors match, worst {worst:.3f}s")

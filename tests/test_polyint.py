@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic, checked against a naive reference product."""
 
+import copy
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -68,6 +70,14 @@ def test_getitem_out_of_range():
 def test_immutable():
     with pytest.raises(AttributeError):
         X.coeffs = (9,)
+
+
+def test_copy_and_pickle():
+    # __setattr__ refuses every assignment, so both rebuild through __init__
+    p = IntPoly((1, -2, 0, 3))
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and twin.coeffs == (1, -2, 0, 3)
+    assert pickle.loads(pickle.dumps(ZERO)) == ZERO
 
 
 def test_add_sub():

@@ -1,6 +1,8 @@
 """Solver enumeration against frozen small cases and the histogram oracle."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from sicherman.cyclotomic import divisors, mobius, mobius_exponents
 from sicherman.dice import Die, die_to_poly, poly_to_die, sum_histogram
 from sicherman.polyint import (
     IntPoly,
+    NonExactDivision,
     X,
     geometric,
     one_minus_x_pow,
@@ -143,7 +146,8 @@ def test_frequency_poly_mixed():
 def test_exponent_vector():
     v = ExponentVector.from_dict({6: 2, 2: 1, 3: 0})
     assert v.entries == ((2, 1), (3, 0), (6, 2))
-    assert v[6] == 2 and v[3] == 0 and v[99] == 0
+    assert v.exponent(6) == 2 and v.exponent(3) == 0 and v.exponent(99) == 0
+    assert v[0] == v.entries
     assert v.as_dict() == {2: 1, 3: 0, 6: 2}
     comp = v.complement({2: 2, 3: 2, 6: 2})
     assert comp.as_dict() == {2: 1, 3: 2, 6: 0}
@@ -153,11 +157,19 @@ def test_exponent_vector():
 
 
 def test_exponent_vector_iteration_ends():
-    # `v[d]` looks up the divisor d and gives 0 when it is absent, so
-    # iterating through it would never end: the vector iterates its fields
+    # `v.exponent(d)` gives 0 for an absent divisor d; the vector iterates
+    # and indexes its one field, as any tuple does
     v = ExponentVector.from_dict({2: 1, 3: 0})
     assert len(list(itertools.islice(v, 3))) == 1
-    assert v[2] == 1 and v[7] == 0
+    assert v.exponent(2) == 1 and v.exponent(7) == 0
+
+
+def test_solution_pair_copy_and_pickle():
+    sich = enumerate_pairs(6)[0]
+    for twin in (
+        copy.copy(sich), copy.deepcopy(sich), pickle.loads(pickle.dumps(sich))
+    ):
+        assert twin == sich and twin.left.poly == sich.left.poly
 
 
 def test_solution_pair_sorted_sides():
@@ -674,6 +686,52 @@ def test_product_check_rejects_a_wrong_side(monkeypatch, change, problem):
     monkeypatch.setattr(solver, "_expand_side", wrong_side)
     with pytest.raises(AssertionError, match="does not multiply back"):
         solver._enumerate(*problem, None)
+
+
+# The problems where a right side has a negative coefficient after its left
+# side passes, and size 96, where 1,920 of its splits do.
+QUOTIENT_PROBLEMS = [
+    mixed(10, 3),
+    *[mixed(12, b) for b in range(1, 7)],
+    *[unequal(12, s, 144 // s) for s in (8, 24, 36, 48, 72, 144)],
+    *[unequal(18, s, 324 // s) for s in (36, 54, 81, 108, 162, 324)],
+    equal(96),
+]
+
+
+@pytest.mark.parametrize("problem", QUOTIENT_PROBLEMS, ids=str)
+def test_quotient_rule_matches_expand_side(problem):
+    # on every split whose left side passes, F / L keeps the split exactly
+    # when _expand_side accepts the right side, and gives the same polynomial
+    sizes, face_counts = problem
+    mults = _divisor_mults(sizes)
+    right_side = solver._right_side_rule(sizes)
+    refused = 0
+    for vec in candidate_vectors(mults, face_counts[0]):
+        left, _ = solver._expand_side(net_exponents(vec))
+        if left is None:
+            continue
+        right, _ = solver._expand_side(net_exponents(vec.complement(mults)))
+        assert right_side(left) == right, vec
+        refused += right is None
+    assert refused > 0
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_digits_read_back_what_pack_packs(width):
+    top = (1 << (8 * width)) - 1
+    coeffs = [0, 1, top, 7, top - 1]
+    value = solver._pack(coeffs, width)
+    assert list(solver._digits(value, 5, width)) == coeffs
+    assert list(solver._digits(value, 6, width)) == [*coeffs, 0]
+    assert solver._digits(value, 4, width) is None
+    assert solver._digits(-1, 5, width) is None
+
+
+def test_quotient_rule_refuses_a_left_side_that_does_not_divide():
+    right_side = solver._right_side_rule((6, 6))
+    with pytest.raises(NonExactDivision):
+        right_side(IntPoly((0, 1, 1, 1, 1)))
 
 
 # -- the enumeration's pruning against a plain referee ------------------------
