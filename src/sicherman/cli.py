@@ -7,7 +7,9 @@ default) the subcommand's table, rendered from the parameters and results
 alone; integers print in full, whatever their length.  Exit codes: 0
 success, 1 a check failed, 2 bad usage, 3 a search cap or node budget was
 exceeded.  The envelope's bytes are those of `json.dumps(envelope, indent=2,
-sort_keys=True)`, written by `_json_text` without that call.
+sort_keys=True)`, written by `_json_text` without that call.  A list of
+ints in [0, TEXT_TABLE_LIMIT), as dice labels are, is written from a cached
+table of decimal texts (`_decimal_texts`), not by `str` on each int.
 
 The argparse parser is built once per process, on the first call to
 `main`, and reused: building it costs more than most small commands, and
@@ -361,11 +363,25 @@ def _any_length_integers():
         sys.set_int_max_str_digits(limit)
 
 
+# A list of ints below TEXT_TABLE_LIMIT, as dice labels are, is written by
+# indexing a table of decimal texts in place of calling `str` on each int.
+TEXT_TABLE_LIMIT = 1 << 16
+
+
+@cache
+def _decimal_texts(size: int) -> tuple[str, ...]:
+    """The decimal texts of 0 .. size - 1, built once per size.  A table is
+    never changed once built, so no caller sees one half made."""
+    return tuple(map(str, range(size)))
+
+
 def _json_text(obj, pad: str = "\n") -> str:
     """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it, at the
     nesting whose line break and indent are `pad`.  That call runs the
     pure-Python encoder; here an int is its `str`, and a list of ints one
-    join.  A bool is not exactly an int, so it is not written as one."""
+    join, whose texts come from `_decimal_texts` when every int lies in
+    [0, TEXT_TABLE_LIMIT).  A bool is not exactly an int, so it is not
+    written as one."""
     if type(obj) is int:
         return str(obj)
     inner = pad + "  "
@@ -376,7 +392,12 @@ def _json_text(obj, pad: str = "\n") -> str:
         ]
     elif isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:
-            body = map(str, obj)
+            top = max(obj)
+            if min(obj) >= 0 and top < TEXT_TABLE_LIMIT:
+                # the table's size is the next power of two above the top int
+                body = map(_decimal_texts(1 << top.bit_length()).__getitem__, obj)
+            else:
+                body = map(str, obj)
         else:
             body = [_json_text(item, inner) for item in obj]
     else:

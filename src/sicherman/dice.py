@@ -101,10 +101,11 @@ def poly_to_die(poly: IntPoly) -> Die:
         raise NegativeCoefficient(f"coefficient {neg[1]} at power {neg[0]}")
     if poly[0] != 0:
         raise NonzeroConstantTerm("constant term must be 0")
-    labels = []
-    for j, c in enumerate(poly.coeffs):
-        labels.extend([j] * c)
-    return Die(tuple(labels))
+    coeffs = poly.coeffs
+    labels: list[int] = []
+    for j in itertools.compress(range(len(coeffs)), coeffs):
+        labels += [j] * coeffs[j]
+    return Die(labels)
 
 
 class SumHistogram(NamedTuple):

@@ -12,8 +12,8 @@ targets change.
 Since phi_d = prod over k | d of (1 - x^k)^mobius(d/k) for d > 1, every side
 is also x * prod((1 - x^k)^E_k) with net exponents E_k (`net_exponents`), and
 is expanded that way.  The search loop carries each split only as the left
-side's net exponents; the exponent vectors of a surviving pair come back by
-Mobius inversion, c_d = sum of E_k over the multiples k of d.
+side's net exponents; exponent vectors come back from them by Mobius
+inversion, c_d = sum of E_k over the multiples k of d.
 
 The choices that make up a split fall into two halves, heads and tails.  A
 split's left net exponents are a head's plus a tail's, and its right ones
@@ -28,7 +28,7 @@ inequality, with a bias that leaves a digit's top bit set exactly when its
 coefficient is nonnegative.  Since -E_1 is the linear coefficient and L is
 at least 1, this rejects every split with E_1 > 0 on either side.  Only
 the splits that pass go on to the complement skip, the full rule for the
-left side and the quotient for the right, below.
+left side and a right-side rule, below.
 
 One rule, `_expand_side`, decides the left side of every split that passes
 the prefix and every side in `certify`, and builds both dice of
@@ -40,17 +40,29 @@ degree is reached.  When both dice have the same face count, a split and
 its complement give the same unordered pair, so only one of the two is
 visited.
 
-The right side of a split whose left side L passes is the quotient F / L
-of the frequency polynomial F, taken by one big-integer division
-(`_right_side_rule`): F and L are packed as digits in a base above the face
-count product F(1).  L divides F in Z[x], so the remainder is 0.  The split
-is kept when the quotient is nonnegative, fits in deg F - deg L + 1 digits,
-and its digits times L(1) sum to F(1).  Then no coefficient of L times the
-digits' polynomial exceeds F(1), so that product packs with no carry and
-equals F: the digits are exactly the right side's coefficients.  A
-nonnegative right side always passes, since none of its coefficients
-exceeds F(1).  So each split expands one side, not two, and needs no
-product check.
+The right side of a split whose left side L passes is found by one of two
+rules (`_right_side_rule`), both packing polynomials as digits in a base
+above the face count product F(1) of the frequency polynomial F.  While a
+digit takes at most QUOTIENT_MAX_WIDTH bytes, the right side is the
+quotient F / L, taken by one big-integer division.  L divides F in Z[x],
+so the remainder is 0.  The split is kept when the quotient is
+nonnegative, fits in deg F - deg L + 1 digits, and its digits times L(1)
+sum to F(1).  Then no coefficient of L times the digits' polynomial
+exceeds F(1), so that product packs with no carry and equals F: the
+digits are exactly the right side's coefficients.  A nonnegative right
+side always passes, since none of its coefficients exceeds F(1).  So each
+split expands one side, not two, and needs no product check.  CPython
+divides big integers in time quadratic in their length, though, so with
+wider digits, which only sizes above 255 need, the division costs more
+than an expansion, and many times more near MAX_ENUMERATION_SIZE.  There
+the right side is expanded by `_expand_side` too, and a pair is kept only
+if L(1) R(1) = F(1) and the packed product of L and R is packed F.
+
+A surviving pair's cyclotomic exponent vectors come from its head and tail
+rows: each row's exponents, ordered by divisor, are found by Mobius
+inversion the first time a kept pair uses the row, the left vector is the
+head's plus the tail's, and the right vector is what the left leaves of
+the problem's multiplicities.
 """
 
 from __future__ import annotations
@@ -110,10 +122,11 @@ def _check_size(m: int) -> None:
 
 # The search cap counts splits, and a size with few splits has work that
 # grows with the size alone.  Through the CLI with JSON output, the prime
-# 49999 took 0.5 s, 49978 = 2 * 24989 and 49983 = 3 * 16661 0.9 s each, the
-# prime 100003 1.1 s, and 1,000,003 was reported at 40 s and 361 MB (2 vCPU,
-# CPython 3.11).  So the enumeration refuses a larger standard size or face
-# count before it factors anything.
+# 49999 took 0.35 s, 49978 = 2 * 24989 0.6 s, 49983 = 3 * 16661 0.8 s and
+# 24998 = 2 * 12499 1.6 s and 86 MB; before this bound, the prime 100003
+# took 1.1 s and 1,000,003 was reported at 40 s and 361 MB (2 vCPU, CPython
+# 3.11).  So the enumeration refuses a larger standard size or face count
+# before it factors anything.
 MAX_ENUMERATION_SIZE = 50_000
 
 
@@ -329,14 +342,24 @@ def _digits(value: int, n: int, width: int) -> Optional[Sequence[int]]:
     return digits if sys.byteorder == "little" else digits[::-1]
 
 
+# The widest digit, in bytes, at which `_right_side_rule` takes the right
+# side as a quotient.  Per accepted left side, the division against an
+# expansion of the right side took 76 against 138 us at size 250 (2-byte
+# digits), 187 against 175 us at 286 (4 bytes), 1,808 against 436 us at 1155
+# and 17,772 against 734 us at 4030 (2 vCPU, CPython 3.11).
+QUOTIENT_MAX_WIDTH = 2
+
+
 def _right_side_rule(
     sizes: tuple[int, int],
-) -> Callable[[IntPoly], Optional[IntPoly]]:
-    """The rule that takes a split's right side as F / L, where F is the
-    frequency polynomial of two standard dice of `sizes` and L is a
-    nonnegative left side: F / L when it has no negative coefficient, else
-    None.  Raises NonExactDivision when L does not divide F.  See the module
-    docstring for why one packed division decides it exactly.
+) -> Callable[[IntPoly, Iterable[tuple[int, int]]], Optional[IntPoly]]:
+    """The rule that takes a split's right side from its nonnegative left
+    side L and its right net exponents, as (k, E_k) pairs: F / L when it has
+    no negative coefficient, else None, where F is the frequency polynomial
+    of two standard dice of `sizes`.  Raises NonExactDivision when L does
+    not divide F, or when L times the expanded right side is not F.  See the
+    module docstring for the two ways it is decided exactly, and why the
+    digit width picks between them.
     """
     freq = frequency_poly(*sizes).coeffs
     faces = sizes[0] * sizes[1]
@@ -346,7 +369,9 @@ def _right_side_rule(
     width = 1 << ((faces.bit_length() + 7) // 8 - 1).bit_length()
     packed_freq = _pack(freq, width)
 
-    def right_side(left: IntPoly) -> Optional[IntPoly]:
+    def by_quotient(
+        left: IntPoly, right_net: Iterable[tuple[int, int]]
+    ) -> Optional[IntPoly]:
         quotient, remainder = divmod(packed_freq, _pack(left.coeffs, width))
         if remainder:
             raise NonExactDivision(f"{left!r} does not divide the frequency poly")
@@ -355,7 +380,23 @@ def _right_side_rule(
             return None
         return IntPoly(right)
 
-    return right_side
+    def by_expansion(
+        left: IntPoly, right_net: Iterable[tuple[int, int]]
+    ) -> Optional[IntPoly]:
+        right, _ = _expand_side({k: e for k, e in right_net if e})
+        if right is None:
+            return None
+        # Two nonnegative sides whose values at x=1 multiply to `faces` have
+        # no product coefficient above it, so their packed product carries
+        # nothing and is packed F exactly when their product is F.
+        if (
+            sum(left.coeffs) * sum(right.coeffs) != faces
+            or _pack(left.coeffs, width) * _pack(right.coeffs, width) != packed_freq
+        ):
+            raise NonExactDivision(f"{left!r} times {right!r} is not the frequency poly")
+        return right
+
+    return by_quotient if width <= QUOTIENT_MAX_WIDTH else by_expansion
 
 
 def _prefix_limit(face_counts: Sequence[int]) -> int:
@@ -436,15 +477,16 @@ def _prefix_survivors(
 
 def _halves(
     mults: dict[int, int], left_size: int, cap: int
-) -> tuple[list[int], list[int], list[tuple[Rows, list[int]]]]:
-    """(divs, ks, [(head, head_full), (tail, tail_full)]) for the splits
-    with `left_size` faces.
+) -> tuple[list[int], list[tuple[Rows, list[int]]]]:
+    """(ks, [(head, head_full), (tail, tail_full)]) for the splits with
+    `left_size` faces.
 
-    A split is the left side's net exponents, aligned to `ks` (so E_1 comes
-    first): a head row plus a tail row, each the sum of one option per axis
-    of its half.  A half's full row takes every divisor of its axes at its
-    whole multiplicity, so the right side's net exponents are what the head
-    leaves of head_full plus what the tail leaves of tail_full.
+    `ks` is 1 followed by every divisor of `mults`, in order.  A split is
+    the left side's net exponents, aligned to `ks` (so E_1 comes first): a
+    head row plus a tail row, each the sum of one option per axis of its
+    half.  A half's full row takes every divisor of its axes at its whole
+    multiplicity, so the right side's net exponents are what the head leaves
+    of head_full plus what the tail leaves of tail_full.
 
     With equal face counts, each prime's slots hold twice its exponent in
     `left_size`, so the complement of an option is an option of the same
@@ -472,7 +514,7 @@ def _halves(
         ds = [d for slots, _ in part for d in slots]
         return net_row(ds, [mults[d] for d in ds])
 
-    return divs, ks, [
+    return ks, [
         (_combine(rows[:half], len(ks)), full(axes[:half])),
         (_combine(rows[half:], len(ks)), full(axes[half:])),
     ]
@@ -490,17 +532,22 @@ def _enumerate(
     left_size, right_size = face_counts
     right_side = _right_side_rule(sizes)
     symmetric = left_size == right_size
-    divs, ks, [(head, head_full), (tail, tail_full)] = _halves(mults, left_size, cap)
+    ks, [(head, head_full), (tail, tail_full)] = _halves(mults, left_size, cap)
     total_net = [*map(add, head_full, tail_full)]
 
     # Mobius inversion of net_exponents: c_d is the sum of E_k over the k in
     # ks that d divides.
-    multiples = [(d, [i for i, k in enumerate(ks) if k % d == 0]) for d in divs]
+    sorted_divs = ks[1:]
+    multiples = [[i for i, k in enumerate(ks) if k % d == 0] for d in sorted_divs]
+    whole = [mults[d] for d in sorted_divs]
 
-    def vector(net: Sequence[int]) -> ExponentVector:
-        return ExponentVector.from_dict(
-            {d: sum([net[i] for i in idx]) for d, idx in multiples}
-        )
+    def exponents(net: Sequence[int]) -> list[int]:
+        return [sum([net[i] for i in idx]) for idx in multiples]
+
+    def vector(exps: Sequence[int]) -> ExponentVector:
+        # From a list the tuple is allocated once at its size; from a bare zip
+        # it is grown and shrunk, which left solve-large's peak RSS 1 MB higher.
+        return ExponentVector(tuple([*zip(sorted_divs, exps)]))
 
     limit = _prefix_limit(face_counts)
     survivors = _prefix_survivors(
@@ -509,8 +556,11 @@ def _enumerate(
         limit,
     )
 
+    # The exponents of each tail row, found on the first kept pair that uses it.
+    tail_exps: list[Optional[list[int]]] = [None] * len(tail)
     found: list[SolutionPair] = []
     for head_net, passed in zip(head, survivors):
+        head_exps = None
         for j in passed:
             left_net = list(map(add, head_net, tail[j]))
             right_net = list(map(sub, total_net, left_net))
@@ -524,16 +574,24 @@ def _enumerate(
             if left_poly is None:
                 continue
             try:
-                right_poly = right_side(left_poly)
+                right_poly = right_side(left_poly, zip(ks, right_net))
             except NonExactDivision:
                 raise AssertionError(
-                    f"split {vector(left_net)} does not multiply back"
+                    f"split {vector(exponents(left_net))} does not multiply back"
                     " to the frequency poly"
                 ) from None
             if right_poly is None:
                 continue
-            left = SolutionSide(poly_to_die(left_poly), left_poly, vector(left_net))
-            right = SolutionSide(poly_to_die(right_poly), right_poly, vector(right_net))
+            if head_exps is None:
+                head_exps = exponents(head_net)
+            tail_j = tail_exps[j]
+            if tail_j is None:
+                tail_j = tail_exps[j] = exponents(tail[j])
+            left_exps = list(map(add, head_exps, tail_j))
+            left = SolutionSide(poly_to_die(left_poly), left_poly, vector(left_exps))
+            right = SolutionSide(
+                poly_to_die(right_poly), right_poly, vector(map(sub, whole, left_exps))
+            )
             pair = SolutionPair(left, right)
             if symmetric:
                 pair = pair.sorted_sides()

@@ -386,11 +386,20 @@ json_leaves = (
     | st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé\u2028漢\U0001f3b2'))
     | st.text()
 )
+# ints around the bounds of the writer's table of decimal texts, [0, 2^16),
+# and of the power-of-two table sizes inside it, mixed with ints outside it
+table_ints = (
+    st.integers(0, 300)
+    | st.integers((1 << 16) - 300, (1 << 16) + 300)
+    | st.sampled_from([-1, 0, 1, 255, 256, (1 << 16) - 1, 1 << 16, 7**5200])
+    | st.booleans()
+)
 json_values = st.recursive(
     json_leaves,
     lambda inner: st.lists(inner)
     | st.lists(inner).map(tuple)
     | st.lists(st.integers() | st.booleans())
+    | st.lists(table_ints)
     | st.dictionaries(st.text(), inner),
     max_leaves=20,
 )
@@ -399,6 +408,14 @@ json_values = st.recursive(
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
     with _any_length_integers():
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_reuses_its_text_tables():
+    # a table built for large labels, then a small one, then the large again
+    large = {"labels": [1, 2, 39_999, 40_000]}
+    small = {"labels": [1, 2, 3, 5]}
+    for value in (large, small, large):
         assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 

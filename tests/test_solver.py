@@ -551,7 +551,7 @@ def test_prefix_mask_matches_expand_side(name):
     # negative coefficient at or below x^L on either side
     sizes, face_counts = MASK_PROBLEMS[name]
     limit = solver._prefix_limit(face_counts)
-    _, ks, [(head, head_full), (tail, tail_full)] = solver._halves(
+    ks, [(head, head_full), (tail, tail_full)] = solver._halves(
         _divisor_mults(sizes), face_counts[0], 10**7
     )
     total = [a + b for a, b in zip(head_full, tail_full)]
@@ -576,7 +576,7 @@ def test_symmetric_halves_complement_in_reverse():
     # with equal face counts, what row j of a half leaves of its full row is
     # row n - 1 - j, which is what lets _prefix_pairs share each series
     for m in [*range(1, 61), 72, 96]:
-        _, _, halves = solver._halves(_divisor_mults((m, m)), m, 10**7)
+        _, halves = solver._halves(_divisor_mults((m, m)), m, 10**7)
         for rows, full in halves:
             leaves = [[f - e for f, e in zip(full, row)] for row in rows]
             assert leaves == rows[::-1], m
@@ -672,11 +672,17 @@ def _raise_last(coeffs):
     return [*coeffs[:-1], coeffs[-1] + 1]
 
 
+# Values of QUOTIENT_MAX_WIDTH that force each right-side rule at any size:
+# every digit width is at most 8 bytes and at least 1.
+RIGHT_SIDE_RULES = {"quotient": 8, "expansion": 0}
+
+
 @pytest.mark.parametrize("change", [_move_last_up, _raise_last])
 @pytest.mark.parametrize("problem", [equal(6), unequal(6, 4, 9)])
 def test_product_check_rejects_a_wrong_side(monkeypatch, change, problem):
-    # every surviving pair is multiplied back to the frequency polynomial, so
-    # a side that is wrong but still nonnegative cannot pass
+    # every surviving pair is divided into or multiplied back to the
+    # frequency polynomial, so a side that is wrong but still nonnegative
+    # cannot pass, whichever rule takes the right side
     expand_side = solver._expand_side
 
     def wrong_side(net):
@@ -684,8 +690,10 @@ def test_product_check_rejects_a_wrong_side(monkeypatch, change, problem):
         return (None if poly is None else IntPoly(change(poly.coeffs))), witness
 
     monkeypatch.setattr(solver, "_expand_side", wrong_side)
-    with pytest.raises(AssertionError, match="does not multiply back"):
-        solver._enumerate(*problem, None)
+    for max_width in RIGHT_SIDE_RULES.values():
+        monkeypatch.setattr(solver, "QUOTIENT_MAX_WIDTH", max_width)
+        with pytest.raises(AssertionError, match="does not multiply back"):
+            solver._enumerate(*problem, None)
 
 
 # The problems where a right side has a negative coefficient after its left
@@ -700,21 +708,35 @@ QUOTIENT_PROBLEMS = [
 
 
 @pytest.mark.parametrize("problem", QUOTIENT_PROBLEMS, ids=str)
-def test_quotient_rule_matches_expand_side(problem):
+def test_quotient_rule_matches_expand_side(monkeypatch, problem):
     # on every split whose left side passes, F / L keeps the split exactly
-    # when _expand_side accepts the right side, and gives the same polynomial
+    # when _expand_side accepts the right side, and gives the same polynomial;
+    # so does the rule that expands the right side and multiplies back
     sizes, face_counts = problem
     mults = _divisor_mults(sizes)
-    right_side = solver._right_side_rule(sizes)
-    refused = 0
-    for vec in candidate_vectors(mults, face_counts[0]):
-        left, _ = solver._expand_side(net_exponents(vec))
-        if left is None:
-            continue
-        right, _ = solver._expand_side(net_exponents(vec.complement(mults)))
-        assert right_side(left) == right, vec
-        refused += right is None
-    assert refused > 0
+    for rule, max_width in RIGHT_SIDE_RULES.items():
+        monkeypatch.setattr(solver, "QUOTIENT_MAX_WIDTH", max_width)
+        right_side = solver._right_side_rule(sizes)
+        assert right_side.__name__ == f"by_{rule}"
+        refused = 0
+        for vec in candidate_vectors(mults, face_counts[0]):
+            left, _ = solver._expand_side(net_exponents(vec))
+            if left is None:
+                continue
+            right_net = net_exponents(vec.complement(mults))
+            right, _ = solver._expand_side(right_net)
+            assert right_side(left, right_net.items()) == right, vec
+            refused += right is None
+        assert refused > 0
+
+
+def test_right_side_rule_follows_the_digit_width():
+    # F(1) = m^2 takes 2-byte digits up to m = 255, and 4-byte ones from 256
+    assert solver.QUOTIENT_MAX_WIDTH == 2
+    assert solver._right_side_rule((255, 255)).__name__ == "by_quotient"
+    assert solver._right_side_rule((256, 256)).__name__ == "by_expansion"
+    # 286 = 2 * 11 * 13 takes the expansion rule unforced
+    assert len(enumerate_pairs(286)) == 13
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
@@ -731,7 +753,7 @@ def test_digits_read_back_what_pack_packs(width):
 def test_quotient_rule_refuses_a_left_side_that_does_not_divide():
     right_side = solver._right_side_rule((6, 6))
     with pytest.raises(NonExactDivision):
-        right_side(IntPoly((0, 1, 1, 1, 1)))
+        right_side(IntPoly((0, 1, 1, 1, 1)), ())
 
 
 # -- the enumeration's pruning against a plain referee ------------------------
