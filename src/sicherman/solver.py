@@ -343,10 +343,11 @@ def _digits(value: int, n: int, width: int) -> Optional[Sequence[int]]:
 
 
 # The widest digit, in bytes, at which `_right_side_rule` takes the right
-# side as a quotient.  Per accepted left side, the division against an
-# expansion of the right side took 76 against 138 us at size 250 (2-byte
-# digits), 187 against 175 us at 286 (4 bytes), 1,808 against 436 us at 1155
-# and 17,772 against 734 us at 4030 (2 vCPU, CPython 3.11).
+# side as a quotient.  The division's cost grows with the square of the
+# packed length.  Per accepted left side, the quotient rule against the
+# expansion rule took 87 against 226 us at size 250 (2-byte digits), 196
+# against 332 us at 286 (4 bytes, 13 left sides in all), 1.96 against
+# 0.85 ms at 1155 and 6.5 against 1.5 ms at 2010 (2 vCPU, CPython 3.11).
 QUOTIENT_MAX_WIDTH = 2
 
 
