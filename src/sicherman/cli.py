@@ -2,11 +2,12 @@
 
 Each subcommand returns (parameters, results, exit code) and prints nothing.
 `main` prints either a JSON envelope {"command", "parameters", "results",
-"status"} with stable key order, so repeated runs are byte-identical, or (by
-default) the subcommand's table, rendered from the parameters and results
-alone; integers print in full, whatever their length.  Exit codes: 0
-success, 1 a check failed, 2 bad usage, 3 a search cap or node budget was
-exceeded.  The envelope's bytes are those of `json.dumps(envelope, indent=2,
+"status"} with stable key order, so repeated runs are byte-identical, or
+(by default) the subcommand's table, rendered from the parameters and
+results alone; integers print in full, whatever their length.  Exit codes:
+0 success, 1 a check failed, 2 bad usage, 3 a search cap or node budget was
+exceeded, 141 the reader closed stdout before the output was written.  The
+envelope's bytes are those of `json.dumps(envelope, indent=2,
 sort_keys=True)`, written by `_json_text` without that call.  A list of
 ints in [0, TEXT_TABLE_LIMIT), as dice labels are, is written from a cached
 table of decimal texts (`_decimal_texts`), not by `str` on each int.
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_PIPE = 128 + 13  # as a shell reports a process that SIGPIPE ended
 
 SEARCH_CAP_ENV = "SICHERMAN_SEARCH_CAP"
 
@@ -430,7 +432,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, SolverError, DieError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Python flushes stdout again at exit,
+        # so its fd is pointed at devnull to keep that flush from raising too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     return code
 
 

@@ -11,9 +11,10 @@ targets change.
 
 Since phi_d = prod over k | d of (1 - x^k)^mobius(d/k) for d > 1, every side
 is also x * prod((1 - x^k)^E_k) with net exponents E_k (`net_exponents`), and
-is expanded that way.  The search loop carries each split only as the left
-side's net exponents; exponent vectors come back from them by Mobius
-inversion, c_d = sum of E_k over the multiples k of d.
+is expanded that way.  The search loop carries each side of a split as one
+row: its net exponents followed by its exponent vector.  Both are linear
+in the split, so sums and differences of rows keep the two parts in step,
+and no exponent vector is ever found from net exponents.
 
 The choices that make up a split fall into two halves, heads and tails.  A
 split's left net exponents are a head's plus a tail's, and its right ones
@@ -58,11 +59,10 @@ than an expansion, and many times more near MAX_ENUMERATION_SIZE.  There
 the right side is expanded by `_expand_side` too, and a pair is kept only
 if L(1) R(1) = F(1) and the packed product of L and R is packed F.
 
-A surviving pair's cyclotomic exponent vectors come from its head and tail
-rows: each row's exponents, ordered by divisor, are found by Mobius
-inversion the first time a kept pair uses the row, the left vector is the
-head's plus the tail's, and the right vector is what the left leaves of
-the problem's multiplicities.
+A surviving pair's exponent vectors are read off its two rows: the left
+row is a head row plus a tail row, the right row is what the left leaves
+of the problem's whole row, and each vector is the part of its row after
+the net exponents.
 """
 
 from __future__ import annotations
@@ -482,12 +482,15 @@ def _halves(
     """(ks, [(head, head_full), (tail, tail_full)]) for the splits with
     `left_size` faces.
 
-    `ks` is 1 followed by every divisor of `mults`, in order.  A split is
-    the left side's net exponents, aligned to `ks` (so E_1 comes first): a
-    head row plus a tail row, each the sum of one option per axis of its
-    half.  A half's full row takes every divisor of its axes at its whole
-    multiplicity, so the right side's net exponents are what the head leaves
-    of head_full plus what the tail leaves of tail_full.
+    `ks` is 1 followed by every divisor of `mults`, in order.  A row is a
+    side's net exponents aligned to `ks` (so E_1 comes first), followed by
+    its cyclotomic exponents aligned to `ks[1:]`.  Both parts are linear in
+    the choice of options, so a split's left row is a head row plus a tail
+    row, each the sum of one option's row per axis of its half.  A half's
+    full row takes every divisor of its axes at its whole multiplicity, so
+    the right side's row is what the head leaves of head_full plus what the
+    tail leaves of tail_full.  `zip(ks, row)` stops at the end of `ks`, so it
+    reads a row's net exponents alone.
 
     With equal face counts, each prime's slots hold twice its exponent in
     `left_size`, so the complement of an option is an option of the same
@@ -496,14 +499,15 @@ def _halves(
     so what row j of a half leaves of its full row is row n - 1 - j.
     """
     axes = _candidate_axes(mults, left_size, cap)
-    divs = [d for slots, _ in axes for d in slots]
-    ks = [1, *sorted(divs)]  # every k that divides some d in divs
+    divs = sorted(d for slots, _ in axes for d in slots)
+    ks = [1, *divs]  # every k that divides some d in divs
 
-    def net_row(slots: Sequence[int], exps: Sequence[int]) -> list[int]:
-        net = net_exponents(ExponentVector.from_dict(dict(zip(slots, exps))))
-        return [net.get(k, 0) for k in ks]
+    def row(slots: Sequence[int], exps: Sequence[int]) -> list[int]:
+        vector = dict(zip(slots, exps))
+        net = net_exponents(ExponentVector.from_dict(vector))
+        return [*(net.get(k, 0) for k in ks), *(vector.get(d, 0) for d in divs)]
 
-    rows = [[net_row(slots, exps) for exps in options] for slots, options in axes]
+    rows = [[row(slots, exps) for exps in options] for slots, options in axes]
     # Each head and each tail is expanded once, so the axes are cut where
     # heads and tails together are fewest.
     counts = [len(options) for options in rows]
@@ -513,11 +517,12 @@ def _halves(
 
     def full(part: Sequence[tuple[tuple[int, ...], list]]) -> list[int]:
         ds = [d for slots, _ in part for d in slots]
-        return net_row(ds, [mults[d] for d in ds])
+        return row(ds, [mults[d] for d in ds])
 
+    width = 2 * len(ks) - 1
     return ks, [
-        (_combine(rows[:half], len(ks)), full(axes[:half])),
-        (_combine(rows[half:], len(ks)), full(axes[half:])),
+        (_combine(rows[:half], width), full(axes[:half])),
+        (_combine(rows[half:], width), full(axes[half:])),
     ]
 
 
@@ -534,21 +539,13 @@ def _enumerate(
     right_side = _right_side_rule(sizes)
     symmetric = left_size == right_size
     ks, [(head, head_full), (tail, tail_full)] = _halves(mults, left_size, cap)
-    total_net = [*map(add, head_full, tail_full)]
+    total = [*map(add, head_full, tail_full)]
+    divs = ks[1:]
 
-    # Mobius inversion of net_exponents: c_d is the sum of E_k over the k in
-    # ks that d divides.
-    sorted_divs = ks[1:]
-    multiples = [[i for i, k in enumerate(ks) if k % d == 0] for d in sorted_divs]
-    whole = [mults[d] for d in sorted_divs]
-
-    def exponents(net: Sequence[int]) -> list[int]:
-        return [sum([net[i] for i in idx]) for idx in multiples]
-
-    def vector(exps: Sequence[int]) -> ExponentVector:
+    def vector(row: Sequence[int]) -> ExponentVector:
         # From a list the tuple is allocated once at its size; from a bare zip
         # it is grown and shrunk, which left solve-large's peak RSS 1 MB higher.
-        return ExponentVector(tuple([*zip(sorted_divs, exps)]))
+        return ExponentVector(tuple([*zip(divs, row[len(ks):])]))
 
     limit = _prefix_limit(face_counts)
     survivors = _prefix_survivors(
@@ -557,42 +554,29 @@ def _enumerate(
         limit,
     )
 
-    # The exponents of each tail row, found on the first kept pair that uses it.
-    tail_exps: list[Optional[list[int]]] = [None] * len(tail)
     found: list[SolutionPair] = []
-    for head_net, passed in zip(head, survivors):
-        head_exps = None
+    for head_row, passed in zip(head, survivors):
         for j in passed:
-            left_net = list(map(add, head_net, tail[j]))
-            right_net = list(map(sub, total_net, left_net))
+            left_row = list(map(add, head_row, tail[j]))
+            right_row = list(map(sub, total, left_row))
             # With equal face counts a split and its complement give the same
             # pair once sorted, so only the smaller of the two is visited.
-            # Exponents map to net exponents one to one, so a split equals its
-            # complement in one form exactly when it does in the other.
-            if symmetric and left_net > right_net:
+            if symmetric and left_row > right_row:
                 continue
-            left_poly, _ = _expand_side({k: e for k, e in zip(ks, left_net) if e})
+            left_poly, _ = _expand_side({k: e for k, e in zip(ks, left_row) if e})
             if left_poly is None:
                 continue
             try:
-                right_poly = right_side(left_poly, zip(ks, right_net))
+                right_poly = right_side(left_poly, zip(ks, right_row))
             except NonExactDivision:
                 raise AssertionError(
-                    f"split {vector(exponents(left_net))} does not multiply back"
+                    f"split {vector(left_row)} does not multiply back"
                     " to the frequency poly"
                 ) from None
             if right_poly is None:
                 continue
-            if head_exps is None:
-                head_exps = exponents(head_net)
-            tail_j = tail_exps[j]
-            if tail_j is None:
-                tail_j = tail_exps[j] = exponents(tail[j])
-            left_exps = list(map(add, head_exps, tail_j))
-            left = SolutionSide(poly_to_die(left_poly), left_poly, vector(left_exps))
-            right = SolutionSide(
-                poly_to_die(right_poly), right_poly, vector(map(sub, whole, left_exps))
-            )
+            left = SolutionSide(poly_to_die(left_poly), left_poly, vector(left_row))
+            right = SolutionSide(poly_to_die(right_poly), right_poly, vector(right_row))
             pair = SolutionPair(left, right)
             if symmetric:
                 pair = pair.sorted_sides()

@@ -110,6 +110,21 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert (result.returncode, result.stdout, result.stderr) == (code, out, "")
 
 
+def test_closed_pipe_exits_141_without_a_traceback():
+    # as `sicherman solve --sides 96 | head -1`: the reader takes one line and
+    # closes the pipe while most of the 400 kB of output is still unwritten
+    with subprocess.Popen(
+        [sys.executable, "-m", "sicherman", "solve", "--sides", "96"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    ) as proc:
+        assert proc.stdout.readline().startswith("m=96: 583 pairs")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err
+
+
 def test_solve_usage_error(capsys):
     code, _, err = run(capsys, "solve", "--sides", "0")
     assert code == 2

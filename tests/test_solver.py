@@ -1,8 +1,10 @@
 """Solver enumeration against frozen small cases and the histogram oracle."""
 
+import ast
 import copy
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -554,6 +556,11 @@ def test_prefix_mask_matches_expand_side(name):
     ks, [(head, head_full), (tail, tail_full)] = solver._halves(
         _divisor_mults(sizes), face_counts[0], 10**7
     )
+    # a row is its net exponents followed by its exponent vector, and the
+    # first is the net form of the second
+    for row in [*head, *tail, head_full, tail_full]:
+        net = net_exponents(ExponentVector(tuple(zip(ks[1:], row[len(ks):]))))
+        assert [net.get(k, 0) for k in ks] == row[: len(ks)], row
     total = [a + b for a, b in zip(head_full, tail_full)]
     symmetric = face_counts[0] == face_counts[1]
     masks = solver._prefix_survivors(
@@ -678,7 +685,9 @@ RIGHT_SIDE_RULES = {"quotient": 8, "expansion": 0}
 
 
 @pytest.mark.parametrize("change", [_move_last_up, _raise_last])
-@pytest.mark.parametrize("problem", [equal(6), unequal(6, 4, 9)])
+# At 12 the first split refused has net exponents unlike its exponent vector,
+# so a vector read from the wrong part of its row is caught.
+@pytest.mark.parametrize("problem", [equal(6), unequal(6, 4, 9), equal(12)])
 def test_product_check_rejects_a_wrong_side(monkeypatch, change, problem):
     # every surviving pair is divided into or multiplied back to the
     # frequency polynomial, so a side that is wrong but still nonnegative
@@ -690,10 +699,22 @@ def test_product_check_rejects_a_wrong_side(monkeypatch, change, problem):
         return (None if poly is None else IntPoly(change(poly.coeffs))), witness
 
     monkeypatch.setattr(solver, "_expand_side", wrong_side)
+    mults = _divisor_mults(problem[0])
     for max_width in RIGHT_SIDE_RULES.values():
         monkeypatch.setattr(solver, "QUOTIENT_MAX_WIDTH", max_width)
-        with pytest.raises(AssertionError, match="does not multiply back"):
+        with pytest.raises(AssertionError, match="does not multiply back") as exc:
             solver._enumerate(*problem, None)
+        # the message names the left side's exponent vector: one exponent in
+        # 0..multiplicity for each divisor of the problem, whose product of
+        # phi_d^c_d has the left side's face count
+        entries = re.fullmatch(
+            r"split ExponentVector\(entries=(.*)\) does not multiply back.*",
+            str(exc.value),
+        )[1]
+        vector = ExponentVector(ast.literal_eval(entries))
+        assert [d for d, _ in vector.entries] == sorted(mults)
+        assert all(0 <= c <= mults[d] for d, c in vector.entries), vector
+        assert sum(_vector_poly(vector).coeffs) == problem[1][0], vector
 
 
 # The problems where a right side has a negative coefficient after its left
