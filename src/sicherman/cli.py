@@ -9,8 +9,9 @@ results alone; integers print in full, whatever their length.  Exit codes:
 exceeded, 141 the reader closed stdout before the output was written.  The
 envelope's bytes are those of `json.dumps(envelope, indent=2,
 sort_keys=True)`, written by `_json_text` without that call.  A list of
-ints in [0, TEXT_TABLE_LIMIT), as dice labels are, is written from a cached
-table of decimal texts (`_decimal_texts`), not by `str` on each int.
+two or more ints in [0, TEXT_TABLE_LIMIT), as dice labels are, takes its
+texts from a cached table of decimal texts (`_decimal_texts`) by one
+`itemgetter` call, not by `str` on each int.
 
 The argparse parser is built once per process, on the first call to
 `main`, and reused: building it costs more than most small commands, and
@@ -26,6 +27,7 @@ import sys
 from contextlib import contextmanager
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .counting import count_n_dice, count_unbounded
@@ -380,24 +382,27 @@ def _decimal_texts(size: int) -> tuple[str, ...]:
 def _json_text(obj, pad: str = "\n") -> str:
     """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it, at the
     nesting whose line break and indent are `pad`.  That call runs the
-    pure-Python encoder; here an int is its `str`, and a list of ints one
-    join, whose texts come from `_decimal_texts` when every int lies in
-    [0, TEXT_TABLE_LIMIT).  A bool is not exactly an int, so it is not
-    written as one."""
+    pure-Python encoder; here an int is its `str`, written in place when it
+    is a dict's value, and a list of ints one join.  When a list holds two
+    or more ints, every one in [0, TEXT_TABLE_LIMIT), its texts are taken
+    from `_decimal_texts` by one `itemgetter` call.  A bool is not exactly
+    an int, so it is not written as one."""
     if type(obj) is int:
         return str(obj)
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         body = [
-            f"{encode_basestring_ascii(key)}: {_json_text(value, inner)}"
+            f"{encode_basestring_ascii(key)}: "
+            + (str(value) if type(value) is int else _json_text(value, inner))
             for key, value in sorted(obj.items())
         ]
     elif isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:
             top = max(obj)
-            if min(obj) >= 0 and top < TEXT_TABLE_LIMIT:
+            # itemgetter of one index returns the text itself, not a tuple
+            if len(obj) > 1 and min(obj) >= 0 and top < TEXT_TABLE_LIMIT:
                 # the table's size is the next power of two above the top int
-                body = map(_decimal_texts(1 << top.bit_length()).__getitem__, obj)
+                body = itemgetter(*obj)(_decimal_texts(1 << top.bit_length()))
             else:
                 body = map(str, obj)
         else:

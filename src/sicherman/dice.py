@@ -96,12 +96,13 @@ def die_to_poly(die: Die) -> IntPoly:
 
 def poly_to_die(poly: IntPoly) -> Die:
     """Inverse of `die_to_poly`; rejects polynomials that are not dice."""
-    neg = poly.first_negative()
-    if neg is not None:
-        raise NegativeCoefficient(f"coefficient {neg[1]} at power {neg[0]}")
+    coeffs = poly.coeffs
+    # min runs in C; the first negative is located only once one is known
+    if min(coeffs, default=0) < 0:
+        power, value = poly.first_negative()
+        raise NegativeCoefficient(f"coefficient {value} at power {power}")
     if poly[0] != 0:
         raise NonzeroConstantTerm("constant term must be 0")
-    coeffs = poly.coeffs
     labels: list[int] = []
     for j in itertools.compress(range(len(coeffs)), coeffs):
         labels += [j] * coeffs[j]

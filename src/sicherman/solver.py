@@ -37,7 +37,9 @@ the prefix and every side in `certify`, and builds both dice of
 lower half decides it and determines the rest: that half is expanded to
 twice PREFILTER_DEGREE, past what the prefix decides, then to twice the
 last limit, until a coefficient is negative (the witness) or half the
-degree is reached.  When both dice have the same face count, a split and
+degree is reached.  A limit whose double would reach half the degree is
+replaced by half itself, since the next expansion would repeat nearly all
+of its work.  When both dice have the same face count, a split and
 its complement give the same unordered pair, so only one of the two is
 visited.
 
@@ -67,6 +69,7 @@ the net exponents.
 
 from __future__ import annotations
 
+import struct
 import sys
 from itertools import compress
 from math import gcd, prod
@@ -300,8 +303,10 @@ def _expand_side(
     """(x * prod((1 - x^k)^E_k), None) for one side's net exponents {k: E_k},
     or (None, (power, coefficient)) at the body's first negative coefficient.
 
-    The body is expanded up to x^(2 * PREFILTER_DEGREE), or half its degree
-    if that is less, and then to twice the last limit.  A truncated
+    The body is expanded up to x^(2 * PREFILTER_DEGREE), then to twice the
+    last limit, but a limit whose double would reach half the body's degree
+    is replaced by half the degree itself, so no side is expanded to a limit
+    that the next step would expand again almost whole.  A truncated
     expansion is exactly the low end of the full one, so the witness is the
     first negative coefficient whatever the limits, and the first negative
     coefficient of a palindromic body lies at or below half its degree.
@@ -309,26 +314,35 @@ def _expand_side(
     """
     degree = sum(k * e for k, e in net.items())
     half = degree // 2
-    limit = min(2 * PREFILTER_DEGREE, half)
+    limit = 2 * PREFILTER_DEGREE
     while True:
+        if 2 * limit >= half:
+            limit = half
         lower = one_minus_x_product(net, limit)
-        witness = first_negative(lower)
-        if witness is not None:
-            return None, witness
+        if min(lower) < 0:
+            return None, first_negative(lower)
         if limit == half:
             return IntPoly([0, *lower, *lower[: degree - half][::-1]]), None
-        limit = min(2 * limit, half)
+        limit *= 2
+
+
+# The unsigned format of each digit width that `struct` packs and `_digits`
+# reads in one call.
+_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    """The coefficients as little-endian digits of `width` bytes each."""
-    return int.from_bytes(
-        b"".join([c.to_bytes(width, "little") for c in coeffs]), "little"
-    )
-
-
-# The native unsigned format of each digit width that `_digits` reads.
-_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+    """The coefficients, each at least 0 and below 2^(8 * width), as
+    little-endian digits of `width` bytes each.  A width of 1, 2, 4 or 8
+    bytes, which the right-side rule always takes, is packed by one
+    `struct.pack` call in its standard size; any other width, which the
+    prefix mask's bound can call for, one `to_bytes` per coefficient."""
+    code = _DIGIT_FORMATS.get(width)
+    if code is None:
+        data = b"".join([c.to_bytes(width, "little") for c in coeffs])
+    else:
+        data = struct.pack(f"<{len(coeffs)}{code}", *coeffs)
+    return int.from_bytes(data, "little")
 
 
 def _digits(value: int, n: int, width: int) -> Optional[Sequence[int]]:
@@ -344,10 +358,12 @@ def _digits(value: int, n: int, width: int) -> Optional[Sequence[int]]:
 
 # The widest digit, in bytes, at which `_right_side_rule` takes the right
 # side as a quotient.  The division's cost grows with the square of the
-# packed length.  Per accepted left side, the quotient rule against the
-# expansion rule took 87 against 226 us at size 250 (2-byte digits), 196
-# against 332 us at 286 (4 bytes, 13 left sides in all), 1.96 against
-# 0.85 ms at 1155 and 6.5 against 1.5 ms at 2010 (2 vCPU, CPython 3.11).
+# packed length, which doubles where the digits go from 2 bytes to 4.  Per
+# accepted left side, the quotient rule against the expansion rule took 55
+# against 132 us at size 250 (2-byte digits), 125 against 114 us at 266
+# (4 bytes), 142 against 130 us at 286, 229 against 171 us at 374, 1.83
+# against 0.43 ms at 1155 and 5.4 against 0.81 ms at 2010 (2 vCPU, CPython
+# 3.11; best of 31 interleaved passes).
 QUOTIENT_MAX_WIDTH = 2
 
 

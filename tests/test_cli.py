@@ -426,6 +426,27 @@ def test_json_writer_matches_json_dumps(value):
         assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        # a list of one int is written without the table
+        [0],
+        [7],
+        [65535],
+        [True],
+        [-1],
+        # a dict's int values are written in place, its other values nested
+        {"a": 0, "b": -3, "c": 65536, "d": 7**5200},
+        {"a": True, "b": False, "c": None, "d": 1},
+        {"x": {"y": [1, 2], "z": {"w": 5}}, "v": [[3], {"u": 4}], "t": []},
+        {"n": [None, True, 2], "e": {}, "s": "text"},
+    ],
+)
+def test_json_writer_matches_json_dumps_on_short_lists_and_dicts(value):
+    with _any_length_integers():
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_json_writer_reuses_its_text_tables():
     # a table built for large labels, then a small one, then the large again
     large = {"labels": [1, 2, 39_999, 40_000]}

@@ -538,6 +538,54 @@ def test_enumeration_expands_sides_only_to_half_their_degree(limits):
         assert max(limits) <= m - 1, m
 
 
+@pytest.mark.parametrize("m", [72, 96, 1155])
+def test_expansion_limits_skip_a_limit_that_half_would_repeat(monkeypatch, m):
+    # every side the enumeration decides gives what one expansion straight to
+    # half its degree gives, and is expanded to 32, 64, ... only while twice
+    # the limit stays below half, then to half
+    nets = []
+    expand_side = solver._expand_side
+
+    def recording(net):
+        nets.append(net)
+        return expand_side(net)
+
+    monkeypatch.setattr(solver, "_expand_side", recording)
+    enumerate_pairs(m)
+    assert nets
+    for net in nets:
+        degree = sum(k * e for k, e in net.items())
+        half = degree // 2
+        lower = one_minus_x_product(net, half)
+        witness = next(((j, c) for j, c in enumerate(lower) if c < 0), None)
+        if witness is None:
+            want = (IntPoly([0, *lower, *lower[: degree - half][::-1]]), None)
+        else:
+            want = (None, witness)
+        seen = []
+
+        def limited(exponents, limit):
+            seen.append(limit)
+            return one_minus_x_product(exponents, limit)
+
+        monkeypatch.setattr(solver, "one_minus_x_product", limited)
+        assert expand_side(net) == want
+        monkeypatch.setattr(solver, "one_minus_x_product", one_minus_x_product)
+        schedule = list(
+            itertools.takewhile(
+                lambda limit: 2 * limit < half,
+                (2 * solver.PREFILTER_DEGREE << i for i in itertools.count()),
+            )
+        ) + [half]
+        assert seen == schedule[: len(seen)]
+        if witness is None:
+            assert seen == schedule
+        else:
+            # the witness lies past every limit before the last
+            assert witness[0] <= seen[-1]
+            assert len(seen) == 1 or witness[0] > seen[-2]
+
+
 # -- the packed prefix mask against the rule that decides every side ---------
 
 MASK_PROBLEMS = {
@@ -760,6 +808,18 @@ def test_right_side_rule_follows_the_digit_width():
     assert len(enumerate_pairs(286)) == 13
 
 
+@pytest.mark.parametrize("width", range(1, 10))
+def test_pack_is_the_sum_of_its_digits(width):
+    # widths 1, 2, 4 and 8 pack by struct, the others digit by digit, as the
+    # prefix mask's bound can call for
+    top = (1 << (8 * width)) - 1
+    spread = [(top * i) // 299 for i in range(300)]
+    for coeffs in ([], [0], [top], [0, 1, top, 7, top - 1, 0], spread):
+        assert solver._pack(coeffs, width) == sum(
+            c << (8 * width * i) for i, c in enumerate(coeffs)
+        )
+
+
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
 def test_digits_read_back_what_pack_packs(width):
     top = (1 << (8 * width)) - 1
@@ -769,6 +829,9 @@ def test_digits_read_back_what_pack_packs(width):
     assert list(solver._digits(value, 6, width)) == [*coeffs, 0]
     assert solver._digits(value, 4, width) is None
     assert solver._digits(-1, 5, width) is None
+    spread = [(top * i) // 299 for i in range(300)]
+    assert list(solver._digits(solver._pack(spread, width), 300, width)) == spread
+    assert list(solver._digits(solver._pack([], width), 0, width)) == []
 
 
 def test_quotient_rule_refuses_a_left_side_that_does_not_divide():
