@@ -539,18 +539,15 @@ def test_enumeration_expands_sides_only_to_half_their_degree(limits):
 
 
 @pytest.mark.parametrize("m", [72, 96, 1155])
-def test_expansion_limits_skip_a_limit_that_half_would_repeat(monkeypatch, m):
+def test_expansion_limits_skip_a_limit_that_half_would_repeat(monkeypatch, limits, m):
     # every side the enumeration decides gives what one expansion straight to
     # half its degree gives, and is expanded to 32, 64, ... only while twice
     # the limit stays below half, then to half
     nets = []
     expand_side = solver._expand_side
-
-    def recording(net):
-        nets.append(net)
-        return expand_side(net)
-
-    monkeypatch.setattr(solver, "_expand_side", recording)
+    monkeypatch.setattr(
+        solver, "_expand_side", lambda net: nets.append(net) or expand_side(net)
+    )
     enumerate_pairs(m)
     assert nets
     for net in nets:
@@ -562,28 +559,21 @@ def test_expansion_limits_skip_a_limit_that_half_would_repeat(monkeypatch, m):
             want = (IntPoly([0, *lower, *lower[: degree - half][::-1]]), None)
         else:
             want = (None, witness)
-        seen = []
-
-        def limited(exponents, limit):
-            seen.append(limit)
-            return one_minus_x_product(exponents, limit)
-
-        monkeypatch.setattr(solver, "one_minus_x_product", limited)
+        limits.clear()
         assert expand_side(net) == want
-        monkeypatch.setattr(solver, "one_minus_x_product", one_minus_x_product)
         schedule = list(
             itertools.takewhile(
                 lambda limit: 2 * limit < half,
                 (2 * solver.PREFILTER_DEGREE << i for i in itertools.count()),
             )
         ) + [half]
-        assert seen == schedule[: len(seen)]
+        assert limits == schedule[: len(limits)]
         if witness is None:
-            assert seen == schedule
+            assert limits == schedule
         else:
             # the witness lies past every limit before the last
-            assert witness[0] <= seen[-1]
-            assert len(seen) == 1 or witness[0] > seen[-2]
+            assert witness[0] <= limits[-1]
+            assert len(limits) == 1 or witness[0] > limits[-2]
 
 
 # -- the packed prefix mask against the rule that decides every side ---------
