@@ -11,7 +11,11 @@ envelope's bytes are those of `json.dumps(envelope, indent=2,
 sort_keys=True)`, written by `_json_text` without that call.  A list of
 two or more ints in [0, TEXT_TABLE_LIMIT), as dice labels are, takes its
 texts from a cached table of decimal texts (`_decimal_texts`) by one
-`itemgetter` call, not by `str` on each int.
+`itemgetter` call, not by `str` on each int.  The pair commands put each
+`Die` itself in their results, and the writer writes it from its
+coefficients: one join of a cached table of label texts, each text
+repeated as often as its label, so no label tuple is built.  The tables
+read the labels.
 
 The argparse parser is built once per process, on the first call to
 `main`, and reused: building it costs more than most small commands, and
@@ -27,7 +31,7 @@ import sys
 from contextlib import contextmanager
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .counting import count_n_dice, count_unbounded
@@ -102,9 +106,11 @@ def _vector_json(side) -> dict[str, int]:
 
 
 def _pair_results(pairs: Sequence[SolutionPair]) -> dict:
-    dice = {side.die.labels for p in pairs for side in (p.left, p.right)}
+    """The pairs' dice, their vectors and the counts.  Each die is kept as the
+    `Die` itself, which `_json_text` writes from its coefficients."""
+    dice = {side.die.coeffs for p in pairs for side in (p.left, p.right)}
     return {
-        "pairs": [[list(p.left.die.labels), list(p.right.die.labels)] for p in pairs],
+        "pairs": [[p.left.die, p.right.die] for p in pairs],
         "vectors": [[_vector_json(p.left), _vector_json(p.right)] for p in pairs],
         "pair_count": len(pairs),
         "die_count": len(dice),
@@ -225,9 +231,9 @@ def render_pairs(title: str, parameters: dict, results: dict) -> list[str]:
         f"{title.format(**parameters)}: {results['pair_count']} pairs, "
         f"{results['die_count']} distinct dice"
     ]
-    for i, (dice, vectors) in enumerate(zip(results["pairs"], results["vectors"]), 1):
+    for i, ((a, b), vectors) in enumerate(zip(results["pairs"], results["vectors"]), 1):
         left, right = (" ".join(f"{d}:{c}" for d, c in v.items()) for v in vectors)
-        lines.append(f"pair {i}: {_labels_text(dice[0])} | {_labels_text(dice[1])}")
+        lines.append(f"pair {i}: {_labels_text(a.labels)} | {_labels_text(b.labels)}")
         lines.append(f"        [{left}] | [{right}]")
     return lines
 
@@ -379,6 +385,13 @@ def _decimal_texts(size: int) -> tuple[str, ...]:
     return tuple(map(str, range(size)))
 
 
+@cache
+def _label_texts(size: int, pad: str) -> tuple[str, ...]:
+    """`pad + str(j) + ","` for j in 0 .. size - 1, built once per size and
+    nesting: the text of one label j of a die's JSON list."""
+    return tuple([pad + text + "," for text in _decimal_texts(size)])
+
+
 def _json_text(obj, pad: str = "\n") -> str:
     """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it, at the
     nesting whose line break and indent are `pad`.  That call runs the
@@ -386,9 +399,22 @@ def _json_text(obj, pad: str = "\n") -> str:
     is a dict's value, and a list of ints one join.  When a list holds two
     or more ints, every one in [0, TEXT_TABLE_LIMIT), its texts are taken
     from `_decimal_texts` by one `itemgetter` call.  A bool is not exactly
-    an int, so it is not written as one."""
+    an int, so it is not written as one.
+
+    A `Die` is written as `json.dumps` writes the list of its labels, but
+    from its coefficients, so no label tuple is built: label j, repeated
+    coefficient-of-x^j times, is the text `_label_texts` holds at j, and the
+    whole list is one join of those texts times the coefficients.  A die
+    with a label at or above TEXT_TABLE_LIMIT is written from its labels."""
     if type(obj) is int:
         return str(obj)
+    if type(obj) is Die:
+        coeffs = obj.coeffs
+        if len(coeffs) > TEXT_TABLE_LIMIT:
+            return _json_text(list(obj.labels), pad)
+        texts = _label_texts(1 << (len(coeffs) - 1).bit_length(), pad + "  ")
+        # the last text's comma is dropped
+        return f"[{''.join(map(mul, texts, coeffs))[:-1]}{pad}]"
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         body = [

@@ -1,16 +1,18 @@
 """Dice as label multisets, and the face-enumeration sum oracle.
 
 A die is the multiset of labels on its faces.  Its generating polynomial has
-the multiplicity of label j as the coefficient of x^j.  `sum_histogram`
-deliberately avoids polynomial arithmetic: it walks every combination of
-faces and tallies the sums, so it can serve as an independent check on
-anything computed by convolution.
+the multiplicity of label j as the coefficient of x^j.  A `Die` holds either
+form: its sorted labels, or, when `poly_to_die` made it, the polynomial's
+coefficient tuple, whose labels are built only when they are first read.
+`sum_histogram` deliberately avoids polynomial arithmetic: it walks every
+combination of faces and tallies the sums, so it can serve as an
+independent check on anything computed by convolution.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
+from itertools import chain, count, product, repeat
 from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
@@ -30,11 +32,19 @@ class NonzeroConstantTerm(DieError):
 
 
 class Die:
-    """An ordered tuple of face labels, each a positive integer."""
+    """An ordered tuple of face labels, each a positive integer.
 
-    __slots__ = ("labels",)
+    A die holds one of two forms of the same multiset: its sorted labels, as
+    `Die(labels)` and every other constructor keep them, or the coefficient
+    tuple of its generating polynomial, as `poly_to_die` keeps it.  The form
+    it lacks is built the first time it is read (`labels` or `coeffs`) and
+    kept; two threads that build it at once build equal tuples.  Equality,
+    hashing, `repr`, copies and pickles are those of the labels, whichever
+    form is held; two dice that both hold coefficients are compared by
+    them, without building labels.
+    """
 
-    labels: tuple[int, ...]
+    __slots__ = ("_labels", "_coeffs")
 
     def __init__(self, labels: Iterable[int]):
         labels = tuple(sorted(map(index, labels)))
@@ -42,13 +52,48 @@ class Die:
             raise DieError("a die needs at least one face")
         if labels[0] < 1:
             raise DieError("labels must be positive integers")
-        object.__setattr__(self, "labels", labels)
+        _set_labels(self, labels)
+        _set_coeffs(self, None)
+
+    @classmethod
+    def _from_coeffs(cls, coeffs: tuple[int, ...]) -> Die:
+        """The die whose generating polynomial has these coefficients, which
+        the caller has checked: nonnegative, constant term 0, last nonzero."""
+        die = object.__new__(cls)
+        _set_labels(die, None)
+        _set_coeffs(die, coeffs)
+        return die
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        labels = self._labels
+        if labels is None:
+            # label j repeated coefficient-of-x^j times, ascending
+            labels = tuple(chain.from_iterable(map(repeat, count(), self._coeffs)))
+            _set_labels(self, labels)
+        return labels
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients of the generating polynomial, indexed by power."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            counts = [0] * (self._labels[-1] + 1)
+            for v in self._labels:
+                counts[v] += 1
+            coeffs = tuple(counts)
+            _set_coeffs(self, coeffs)
+        return coeffs
 
     def __setattr__(self, name, value):
         raise AttributeError("Die is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Die) and self.labels == other.labels
+        if not isinstance(other, Die):
+            return False
+        if self._coeffs is not None and other._coeffs is not None:
+            return self._coeffs == other._coeffs
+        return self.labels == other.labels
 
     def __hash__(self) -> int:
         return hash(self.labels)
@@ -80,22 +125,27 @@ class Die:
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        if self._labels is None:
+            return sum(self._coeffs)
+        return len(self._labels)
 
     def __str__(self) -> str:
         return self.to_text()
 
 
+# The slots' own setters, since Die.__setattr__ refuses every assignment.
+_set_labels = Die._labels.__set__
+_set_coeffs = Die._coeffs.__set__
+
+
 def die_to_poly(die: Die) -> IntPoly:
     """Generating polynomial: coefficient of x^j counts faces labeled j."""
-    out = [0] * (die.labels[-1] + 1)
-    for v in die.labels:
-        out[v] += 1
-    return IntPoly(out)
+    return IntPoly(die.coeffs)
 
 
 def poly_to_die(poly: IntPoly) -> Die:
-    """Inverse of `die_to_poly`; rejects polynomials that are not dice."""
+    """Inverse of `die_to_poly`; rejects polynomials that are not dice.  The
+    die keeps the coefficients and builds its labels when they are read."""
     coeffs = poly.coeffs
     # min runs in C; the first negative is located only once one is known
     if min(coeffs, default=0) < 0:
@@ -103,10 +153,9 @@ def poly_to_die(poly: IntPoly) -> Die:
         raise NegativeCoefficient(f"coefficient {value} at power {power}")
     if poly[0] != 0:
         raise NonzeroConstantTerm("constant term must be 0")
-    labels: list[int] = []
-    for j in itertools.compress(range(len(coeffs)), coeffs):
-        labels += [j] * coeffs[j]
-    return Die(labels)
+    if not coeffs:
+        raise DieError("a die needs at least one face")
+    return Die._from_coeffs(coeffs)
 
 
 class SumHistogram(NamedTuple):
@@ -127,6 +176,6 @@ def sum_histogram(dice: Sequence[Die]) -> SumHistogram:
     if not dice:
         raise DieError("need at least one die")
     counts = Counter(
-        sum(faces) for faces in itertools.product(*(d.labels for d in dice))
+        sum(faces) for faces in product(*(d.labels for d in dice))
     )
     return SumHistogram(tuple(sorted(counts.items())))

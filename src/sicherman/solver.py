@@ -65,6 +65,18 @@ A surviving pair's exponent vectors are read off its two rows: the left
 row is a head row plus a tail row, the right row is what the left leaves
 of the problem's whole row, and each vector is the part of its row after
 the net exponents.
+
+Each found die keeps its polynomial's coefficient tuple (`poly_to_die`),
+and its labels are built only when a caller reads them, so sides and pairs
+are ordered by coefficients.  Within one problem every left die has one
+face count, and every right die one.  For two dice with the same face
+count, labels ascending is coefficients descending: at the first power j
+where their coefficients differ, the die with more j's has a j where the
+other has a larger label.  So a symmetric pair puts the die with the larger
+coefficient tuple on the left, and pairs sorted by coefficients in
+descending order come out sorted by labels.  `SolutionPair.sorted_sides`
+still compares labels: for dice of unequal face counts the two orders can
+differ, since one die's labels can be a prefix of the other's.
 """
 
 from __future__ import annotations
@@ -546,7 +558,8 @@ def _enumerate(
     sizes: tuple[int, int], face_counts: tuple[int, int], search_cap: Optional[int]
 ) -> list[SolutionPair]:
     """Every pair of dice with `face_counts` faces whose sums match those of
-    two standard dice of `sizes`, sorted by labels."""
+    two standard dice of `sizes`, sorted by labels, which is sorting by
+    coefficients in descending order (see the module docstring)."""
     cap = DEFAULT_SEARCH_CAP if search_cap is None else search_cap
     if cap < 1:
         raise SolverError(f"search_cap must be at least 1, got {cap}")
@@ -593,11 +606,13 @@ def _enumerate(
                 continue
             left = SolutionSide(poly_to_die(left_poly), left_poly, vector(left_row))
             right = SolutionSide(poly_to_die(right_poly), right_poly, vector(right_row))
-            pair = SolutionPair(left, right)
-            if symmetric:
-                pair = pair.sorted_sides()
-            found.append(pair)
-    return sorted(found, key=lambda p: p.labels)
+            # the die with the smaller labels has the larger coefficients
+            if symmetric and left_poly.coeffs < right_poly.coeffs:
+                left, right = right, left
+            found.append(SolutionPair(left, right))
+    return sorted(
+        found, key=lambda p: (p.left.poly.coeffs, p.right.poly.coeffs), reverse=True
+    )
 
 
 def enumerate_pairs(m: int, *, search_cap: Optional[int] = None) -> list[SolutionPair]:
@@ -658,9 +673,12 @@ def conjecture_sweep(bound: int) -> SweepReport:
             if gcd(r, s) != 1:
                 continue
             pairs = enumerate_mixed(r, s)
-            standard = (Die.standard(r).labels, Die.standard(s).labels)
+            # compared by coefficients, so only the reported pairs build labels
+            standard = (Die.standard(r).coeffs, Die.standard(s).coeffs)
             nontrivial = tuple(
-                p.labels for p in pairs if p.labels != standard
+                p.labels
+                for p in pairs
+                if (p.left.die.coeffs, p.right.die.coeffs) != standard
             )
             entries.append(SweepEntry((r, s), len(pairs), nontrivial))
     return SweepReport(bound, tuple(entries))

@@ -12,8 +12,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from sicherman.cli import _any_length_integers, _json_text, build_parser, main
+from sicherman.cli import (
+    TEXT_TABLE_LIMIT,
+    _any_length_integers,
+    _json_text,
+    build_parser,
+    main,
+)
 from sicherman.counting import count_two_dice_trinomial
+from sicherman.dice import Die, die_to_poly, poly_to_die
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -409,8 +416,25 @@ table_ints = (
     | st.sampled_from([-1, 0, 1, 255, 256, (1 << 16) - 1, 1 << 16, 7**5200])
     | st.booleans()
 )
+# dice with labels near the bounds of the label texts' power-of-two tables,
+# some above TEXT_TABLE_LIMIT, each made from labels or from coefficients
+die_labels = st.lists(
+    st.integers(1, 300) | st.sampled_from([255, 256, (1 << 16) - 1, 1 << 16, 70_000]),
+    min_size=1,
+    max_size=8,
+)
+dice = die_labels.map(Die) | die_labels.map(lambda v: poly_to_die(die_to_poly(Die(v))))
+
+
+def labels_list(obj):
+    """json.dumps's `default`: a die is dumped as its label list."""
+    if isinstance(obj, Die):
+        return list(obj.labels)
+    raise TypeError(f"{obj!r} is not JSON serializable")
+
+
 json_values = st.recursive(
-    json_leaves,
+    json_leaves | dice,
     lambda inner: st.lists(inner)
     | st.lists(inner).map(tuple)
     | st.lists(st.integers() | st.booleans())
@@ -423,7 +447,8 @@ json_values = st.recursive(
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
     with _any_length_integers():
-        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        want = json.dumps(value, indent=2, sort_keys=True, default=labels_list)
+        assert _json_text(value) == want
 
 
 @pytest.mark.parametrize(
@@ -445,6 +470,44 @@ def test_json_writer_matches_json_dumps(value):
 def test_json_writer_matches_json_dumps_on_short_lists_and_dicts(value):
     with _any_length_integers():
         assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        (1,),  # one face
+        (5, 5, 5),  # one label, repeated
+        (1, 2, 2, 3, 3, 4),
+        (1, 3, 4, 5, 6, 8),
+        (2, 2, 7, 7, 7, 300),
+        (1, TEXT_TABLE_LIMIT - 1),  # the top label of the largest table
+        (1, 70_000),  # above every table: written from its labels
+    ],
+)
+def test_json_writer_writes_a_die_as_its_label_list(labels):
+    for die in (Die(labels), poly_to_die(die_to_poly(Die(labels)))):
+        for value in (die, [die, die], {"results": {"pairs": [[die, Die((1,))]]}}):
+            want = json.dumps(value, indent=2, sort_keys=True, default=labels_list)
+            assert _json_text(value) == want
+
+
+def test_solve_json_builds_no_label_tuple(capsys, monkeypatch):
+    # The solver's dice hold coefficients; reading `labels` would build them.
+    built = []
+    read = Die.labels.fget
+
+    def counted(die):
+        if die._labels is None:
+            built.append(die.coeffs)
+        return read(die)
+
+    monkeypatch.setattr(Die, "labels", property(counted))
+    code, out, _ = run(capsys, "solve", "--sides", "96", "--format", "json")
+    assert code == 0 and json.loads(out)["results"]["pair_count"] == 583
+    assert built == []
+    # the hook sees a build, so the count above can fail
+    poly_to_die(die_to_poly(Die((1, 2, 2, 3)))).labels
+    assert built == [(0, 1, 2, 1)]
 
 
 def test_json_writer_reuses_its_text_tables():

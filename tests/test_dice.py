@@ -116,3 +116,68 @@ def test_enumeration_agrees_with_convolution(dice):
         product = product * die_to_poly(die)
     counts = {j: c for j, c in enumerate(product.coeffs) if c}
     assert sum_histogram(dice).as_dict() == counts
+
+
+# Polynomials of dice: one face, repeated labels, a gap, and a high label.
+DIE_POLYS = [
+    IntPoly((0, 1)),
+    IntPoly((0, 0, 0, 3)),
+    IntPoly((0, 1, 2, 2, 1)),
+    IntPoly((0, 1, 0, 0, 0, 0, 4, 0, 1)),
+    IntPoly((0, 2, *[0] * 300, 1)),
+]
+
+# Each check reads a coefficient die and its label twin, as (got, want).
+DIE_CHECKS = {
+    "labels": lambda d, t: (d.labels, t.labels),
+    "coeffs": lambda d, t: (d.coeffs, t.coeffs),
+    "equal": lambda d, t: (d == t and t == d and not d != t, True),
+    "equal to its coefficient twin": lambda d, t: (d == poly_to_die(die_to_poly(t)), True),
+    "unequal": lambda d, t: (d == Die((*t.labels, 1)) or Die((1, *t.labels)) == d, False),
+    "hash": lambda d, t: (hash(d), hash(t)),
+    "repr": lambda d, t: (repr(d), repr(t)),
+    "str": lambda d, t: (str(d), str(t)),
+    "size": lambda d, t: (d.size, t.size),
+    "to_text": lambda d, t: (d.to_text(), t.to_text()),
+    "die_to_poly": lambda d, t: (die_to_poly(d), die_to_poly(t)),
+    "copy": lambda d, t: (copy.copy(d), t),
+    "deepcopy": lambda d, t: (copy.deepcopy(d), t),
+    "pickle": lambda d, t: (pickle.dumps(d), pickle.dumps(t)),
+    "unpickle": lambda d, t: (pickle.loads(pickle.dumps(d)), t),
+    "histogram": lambda d, t: (sum_histogram([d, d]), sum_histogram([t, t])),
+}
+
+
+@pytest.mark.parametrize("labels_read", [False, True])
+@pytest.mark.parametrize("poly", DIE_POLYS, ids=lambda p: str(p.degree))
+def test_die_from_coefficients_behaves_as_die_from_labels(poly, labels_read):
+    twin = Die([j for j, c in enumerate(poly.coeffs) for _ in range(c)])
+    for name, check in DIE_CHECKS.items():
+        # a fresh die for each check, so that without labels_read each one
+        # runs on a die whose labels no earlier check has built
+        die = poly_to_die(poly)
+        if labels_read:
+            die.labels
+        got, want = check(die, twin)
+        assert got == want and type(got) is type(want), name
+    with pytest.raises(AttributeError):
+        die.labels = (4,)
+
+
+def test_dice_of_coefficients_compare_without_building_labels():
+    a, b = poly_to_die(IntPoly((0, 1, 2, 1))), poly_to_die(IntPoly((0, 1, 2, 1)))
+    c = poly_to_die(IntPoly((0, 1, 1, 1, 1)))
+    assert a == b and a != c and a.size == c.size == 4
+    assert a._labels is b._labels is c._labels is None
+
+
+def test_poly_to_die_keeps_its_error_messages():
+    with pytest.raises(NegativeCoefficient, match=r"^coefficient -1 at power 2$"):
+        poly_to_die(IntPoly((0, 1, -1, 2, -5)))
+    with pytest.raises(NonzeroConstantTerm, match=r"^constant term must be 0$"):
+        poly_to_die(IntPoly((1, 1)))
+    # the sign check comes first
+    with pytest.raises(NegativeCoefficient, match=r"^coefficient -1 at power 0$"):
+        poly_to_die(IntPoly((-1, 1)))
+    with pytest.raises(DieError, match=r"^a die needs at least one face$"):
+        poly_to_die(IntPoly(()))
