@@ -491,23 +491,14 @@ def test_json_writer_writes_a_die_as_its_label_list(labels):
             assert _json_text(value) == want
 
 
-def test_solve_json_builds_no_label_tuple(capsys, monkeypatch):
-    # The solver's dice hold coefficients; reading `labels` would build them.
-    built = []
-    read = Die.labels.fget
-
-    def counted(die):
-        if die._labels is None:
-            built.append(die.coeffs)
-        return read(die)
-
-    monkeypatch.setattr(Die, "labels", property(counted))
+def test_solve_json_builds_no_label_tuple(capsys, label_builds):
+    # the solver's dice hold coefficients, and the writer writes from them
     code, out, _ = run(capsys, "solve", "--sides", "96", "--format", "json")
     assert code == 0 and json.loads(out)["results"]["pair_count"] == 583
-    assert built == []
+    assert label_builds == []
     # the hook sees a build, so the count above can fail
     poly_to_die(die_to_poly(Die((1, 2, 2, 3)))).labels
-    assert built == [(0, 1, 2, 1)]
+    assert label_builds == [(0, 1, 2, 1)]
 
 
 def test_json_writer_reuses_its_text_tables():

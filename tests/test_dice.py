@@ -164,11 +164,11 @@ def test_die_from_coefficients_behaves_as_die_from_labels(poly, labels_read):
         die.labels = (4,)
 
 
-def test_dice_of_coefficients_compare_without_building_labels():
+def test_dice_of_coefficients_compare_without_building_labels(label_builds):
     a, b = poly_to_die(IntPoly((0, 1, 2, 1))), poly_to_die(IntPoly((0, 1, 2, 1)))
     c = poly_to_die(IntPoly((0, 1, 1, 1, 1)))
     assert a == b and a != c and a.size == c.size == 4
-    assert a._labels is b._labels is c._labels is None
+    assert label_builds == []
 
 
 def test_poly_to_die_keeps_its_error_messages():

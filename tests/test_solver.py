@@ -888,45 +888,33 @@ def test_pair_counts():
         assert len(enumerate_pairs(m)) == count
 
 
-
 def test_results_come_sorted_by_labels_smaller_die_first():
     # The solver orders sides and pairs by coefficients, in descending order;
     # that must be label order wherever the dice compared have one face count.
-    problems = [
-        *((m, m, m) for m in range(1, 61)),
-        *((None, a, b) for a in range(1, 13) for b in range(1, 13)),
-        *((m, s, m * m // s) for m in range(1, 13) for s in divisors(m * m)),
+    runs = [
+        *((m, m, enumerate_pairs(m)) for m in range(1, 61)),
+        *((a, b, enumerate_mixed(a, b)) for a in range(1, 13) for b in range(1, 13)),
+        *(
+            (s, m * m // s, enumerate_unequal(m, s, m * m // s))
+            for m in range(1, 13)
+            for s in divisors(m * m)
+        ),
     ]
-    for m, s1, s2 in problems:
-        if m is None:
-            pairs = enumerate_mixed(s1, s2)
-        elif s1 == s2 == m:
-            pairs = enumerate_pairs(m)
-        else:
-            pairs = enumerate_unequal(m, s1, s2)
+    for s1, s2, pairs in runs:
         labels = labels_of(pairs)
-        assert labels == sorted(set(labels)), (m, s1, s2)
+        assert labels == sorted(set(labels)), (s1, s2)
         for left, right in labels:
-            assert (len(left), len(right)) == (s1, s2), (m, s1, s2)
+            assert (len(left), len(right)) == (s1, s2)
             if s1 == s2:
-                assert left <= right, (m, s1, s2)
+                assert left <= right, (s1, s2, left, right)
 
 
 def test_sweep_to_30_is_pinned_and_builds_labels_only_for_what_it_reports(
-    monkeypatch,
+    label_builds,
 ):
-    built = []
-    read = Die.labels.fget
-
-    def counted(die):
-        if die._labels is None:
-            built.append(die.coeffs)
-        return read(die)
-
-    monkeypatch.setattr(Die, "labels", property(counted))
     report = conjecture_sweep(30)
     # recorded while the sweep compared every pair's labels
     assert hashlib.sha256(repr(report).encode()).hexdigest() == (
         "516361315daab9bf8ed1e96615691e8b320a3b7762b5af391d4be9b8ef35997c"
     )
-    assert len(built) == 2 * report.total_nontrivial == 552
+    assert len(label_builds) == 2 * report.total_nontrivial == 552
