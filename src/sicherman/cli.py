@@ -29,7 +29,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mul
 from typing import Optional, Sequence
@@ -41,6 +41,7 @@ from .oracle import DEFAULT_MAX_NODES, BudgetExceeded, brute_force_pairs
 from .solver import (
     CASES,
     CertificateMissing,
+    ExponentVector,
     SearchCapExceeded,
     SolverError,
     SolutionPair,
@@ -101,17 +102,15 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma-separated integers") from None
 
 
-def _vector_json(side) -> dict[str, int]:
-    return {str(d): c for d, c in side.vector.entries}
-
-
 def _pair_results(pairs: Sequence[SolutionPair]) -> dict:
-    """The pairs' dice, their vectors and the counts.  Each die is kept as the
-    `Die` itself, which `_json_text` writes from its coefficients."""
+    """The pairs' dice, their vectors and the counts.  Each die and each
+    vector is kept as itself: `_json_text` writes a `Die` from its
+    coefficients, and an `ExponentVector` as the dict of its entries with
+    `str` keys."""
     dice = {side.die.coeffs for p in pairs for side in (p.left, p.right)}
     return {
         "pairs": [[p.left.die, p.right.die] for p in pairs],
-        "vectors": [[_vector_json(p.left), _vector_json(p.right)] for p in pairs],
+        "vectors": [[p.left.vector, p.right.vector] for p in pairs],
         "pair_count": len(pairs),
         "die_count": len(dice),
     }
@@ -232,7 +231,7 @@ def render_pairs(title: str, parameters: dict, results: dict) -> list[str]:
         f"{results['die_count']} distinct dice"
     ]
     for i, ((a, b), vectors) in enumerate(zip(results["pairs"], results["vectors"]), 1):
-        left, right = (" ".join(f"{d}:{c}" for d, c in v.items()) for v in vectors)
+        left, right = (" ".join(f"{d}:{c}" for d, c in v.entries) for v in vectors)
         lines.append(f"pair {i}: {_labels_text(a.labels)} | {_labels_text(b.labels)}")
         lines.append(f"        [{left}] | [{right}]")
     return lines
@@ -392,6 +391,20 @@ def _label_texts(size: int, pad: str) -> tuple[str, ...]:
     return tuple([pad + text + "," for text in _decimal_texts(size)])
 
 
+@lru_cache(maxsize=64)
+def _vector_template(divisors: tuple[int, ...], pad: str) -> tuple[str, itemgetter]:
+    """The JSON text of an exponent vector over `divisors`, at the nesting
+    whose line break and indent are `pad`, as a %-template, and the getter
+    that takes its exponents, given in divisor order, into the template's
+    order: that of the keys sorted as strings, as `sort_keys` sorts them.
+    Every vector of one problem has the same divisors, so one template
+    serves them all; the last 64 templates are kept."""
+    order = sorted(range(len(divisors)), key=lambda i: str(divisors[i]))
+    inner = pad + "  "
+    body = ("," + inner).join([f'"{divisors[i]}": %d' for i in order])
+    return "{" + inner + body + pad + "}", itemgetter(*order)
+
+
 def _json_text(obj, pad: str = "\n") -> str:
     """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it, at the
     nesting whose line break and indent are `pad`.  That call runs the
@@ -405,9 +418,20 @@ def _json_text(obj, pad: str = "\n") -> str:
     from its coefficients, so no label tuple is built: label j, repeated
     coefficient-of-x^j times, is the text `_label_texts` holds at j, and the
     whole list is one join of those texts times the coefficients.  A die
-    with a label at or above TEXT_TABLE_LIMIT is written from its labels."""
+    with a label at or above TEXT_TABLE_LIMIT is written from its labels.
+
+    An `ExponentVector` is written as `json.dumps` writes the dict of its
+    entries with `str` keys, by filling `_vector_template` with its
+    exponents."""
     if type(obj) is int:
         return str(obj)
+    if type(obj) is ExponentVector:
+        if not obj.entries:
+            return "{}"
+        divisors, exponents = zip(*obj.entries)
+        template, in_key_order = _vector_template(divisors, pad)
+        # itemgetter of one index returns the exponent itself, not a tuple
+        return template % in_key_order(exponents)
     if type(obj) is Die:
         coeffs = obj.coeffs
         if len(coeffs) > TEXT_TABLE_LIMIT:

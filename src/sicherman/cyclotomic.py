@@ -180,10 +180,10 @@ def _tower_cases(primes: list[int]) -> Iterator[tuple[bool, str]]:
             yield holds, f"p={p},q={q},k={k}"
 
 
-# The battery's cost grows about threefold to sevenfold each time `bound`
-# doubles: 0.2-0.3 s at 240, 0.8 s at 480 and 5-7 s at 1000 (the first run
-# in a process, 2 vCPU, CPython 3.11), so a larger bound is refused rather
-# than left to run for minutes.
+# The battery's cost grows about threefold to fivefold each time `bound`
+# doubles: 0.2 s at 240, 0.55 s at 480 and 2.7 s at 1000 (`identities` in
+# one fresh process each, 2 vCPU, CPython 3.11.7), so a larger bound is
+# refused rather than left to run for minutes.
 MAX_IDENTITY_BOUND = 1000
 
 

@@ -3,10 +3,14 @@
 A polynomial is stored as a tuple of coefficients indexed by power, so
 ``(0, 1, 2)`` is ``x + 2x^2``.  The canonical form has no trailing zeros and
 the zero polynomial is the empty tuple.  All arithmetic is exact Python
-integer arithmetic: one convolution serves every product, adding a shifted
-copy of the longer operand per term of the shorter, or, when fewer than one
-in eight coefficients of the longer operand is nonzero (the towers
-phi_n(x^k) of the identity battery), adding term by term.
+integer arithmetic.  One convolution serves every product: it takes out the
+common stride g of both operands' exponents, so that the towers phi_n(x^k)
+of the identity battery, sparse as they are, multiply as small dense
+polynomials in x^g, and then evaluates each operand at a power of two
+(Kronecker substitution) so that one big-integer product holds every
+coefficient of the result as a signed digit.  `pack_digits` and
+`unpack_digits` write and read those digits, for the solver's packed
+products too.
 `one_minus_x_product` expands products of (1 - x^k)^e by stride recurrences
 and returns exactly `limit + 1` coefficients as a list, trailing zeros kept.
 
@@ -16,7 +20,10 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import struct
+import sys
 from itertools import accumulate, compress
+from math import gcd
 from operator import add, index, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -123,10 +130,10 @@ class IntPoly:
 
     def __mul__(self, other) -> IntPoly:
         if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
+            return _of_ints([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return IntPoly(_convolve(self.coeffs, other.coeffs))
+        return _of_ints(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -187,9 +194,8 @@ class IntPoly:
         if t == 1 or self.is_zero:
             return self
         out = [0] * (self.degree * t + 1)
-        for j, c in enumerate(self.coeffs):
-            out[j * t] = c
-        return IntPoly(out)
+        out[::t] = self.coeffs
+        return _of_ints(out)
 
     def first_negative(self) -> Optional[tuple[int, int]]:
         """The smallest power with a negative coefficient, as (power, value)."""
@@ -198,6 +204,16 @@ class IntPoly:
     @property
     def is_nonnegative(self) -> bool:
         return self.first_negative() is None
+
+
+def _of_ints(cs: list[int]) -> IntPoly:
+    """The IntPoly of a list of ints, which it takes over: trailing zeros
+    are stripped, but the coefficients skip `__init__`'s `index()` pass."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    poly = object.__new__(IntPoly)
+    object.__setattr__(poly, "coeffs", tuple(cs))
+    return poly
 
 
 ZERO = IntPoly()
@@ -232,25 +248,96 @@ def first_negative(coeffs: Iterable[int]) -> Optional[tuple[int, int]]:
     return None
 
 
+# The signed `struct` format of each digit width, in bytes, that one call
+# packs or reads; the unsigned format is its upper case.
+_DIGIT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _top_bits(n: int, width: int) -> int:
+    """The top bit of each of n digits of `width` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def pack_digits(coeffs: Sequence[int], width: int, signed: bool = False) -> int:
+    """sum(c * 2^(8 * width * i)) over the coefficients c, lowest first.
+
+    Each coefficient must fit a digit of `width` bytes: at least 0 and below
+    2^(8 * width), or with `signed`, at least -2^(8 * width - 1) and below
+    2^(8 * width - 1).  A width of 1, 2, 4 or 8 bytes is packed by one
+    `struct.pack` call in its standard size; any other width, one `to_bytes`
+    per coefficient.
+    """
+    code = _DIGIT_FORMATS.get(width)
+    if code is None:
+        data = b"".join([c.to_bytes(width, "little", signed=signed) for c in coeffs])
+    else:
+        data = struct.pack(f"<{len(coeffs)}{code if signed else code.upper()}", *coeffs)
+    value = int.from_bytes(data, "little")
+    if signed:
+        # A negative c was written as c + 2^(8 * width), which sets its top
+        # bit: take each such borrow back off.
+        value -= (value & _top_bits(len(coeffs), width)) << 1
+    return value
+
+
+def unpack_digits(value: int, n: int, width: int, signed: bool = False) -> list[int]:
+    """The n digits of `width` bytes of value, lowest first, as
+    `pack_digits` packs them.
+
+    Unsigned, it raises OverflowError if value is negative or needs more
+    than n digits.  Signed, every digit of value must lie in the signed
+    range; adding the top bit of each digit then leaves every digit
+    nonnegative, and flipping that bit back gives its two's complement.
+    """
+    if signed:
+        top = _top_bits(n, width)
+        value = (value + top) ^ top
+    code = _DIGIT_FORMATS.get(width)
+    if code is None:
+        data = value.to_bytes(n * width, "little")
+        return [
+            int.from_bytes(data[i : i + width], "little", signed=signed)
+            for i in range(0, n * width, width)
+        ]
+    data = value.to_bytes(n * width, sys.byteorder)
+    digits = memoryview(data).cast(code if signed else code.upper()).tolist()
+    return digits if sys.byteorder == "little" else digits[::-1]
+
+
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The len(a) + len(b) - 1 coefficients of the product of a and b, or
+    none if either is empty; trailing zeros kept."""
     if not a or not b:
         return []
-    if len(a) > len(b):
-        a, b = b, a
-    n = len(b)
-    out = [0] * (len(a) + n - 1)
-    if 8 * (n - b.count(0)) < n:
-        # Few nonzero terms: adding each one costs less than a slice of b.
-        terms = [(j, b[j]) for j in compress(range(n), b)]
-        for i, c in enumerate(a):
-            if c:
-                for j, d in terms:
-                    out[i + j] += c * d
-        return out
-    for i, c in enumerate(a):
-        if c:
-            row = b if c == 1 else [c * d for d in b]
-            out[i : i + n] = map(add, out[i : i + n], row)
+    n = len(a) + len(b) - 1
+    # Every nonzero term of both lies at a multiple of g, so the product is
+    # that of a(x^(1/g)) and b(x^(1/g)) at x^g.  A constant has no stride of
+    # its own (gcd 0), and two constants none at all.  The one call gathers
+    # both operands' exponents in a list and so builds its argument tuple at
+    # its exact size.  From a lone iterator CPython builds it by resizing,
+    # and each resized tuple of under 20 items stays on its tuple free list:
+    # that grew a long cli-mix run by megabytes.
+    g = gcd(*compress(range(len(a)), a), *compress(range(len(b)), b)) or 1
+    if g > 1:
+        a, b = a[::g], b[::g]
+    # |[x^i] ab| <= sum over j of |a_j| |b_(i-j)|, at most l1(a) max|b| and
+    # max|a| l1(b).  Digits of `width` bytes hold that bound and a sign bit,
+    # and so, unless one operand is all zeros, every coefficient of either.
+    bound = min(
+        sum(map(abs, a)) * max(map(abs, b)), max(map(abs, a)) * sum(map(abs, b))
+    )
+    if not bound:
+        return [0] * n
+    width = (bound.bit_length() + 8) // 8
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()  # one struct call, one cast
+    m = len(a) + len(b) - 1
+    product = pack_digits(a, width, True) * pack_digits(b, width, True)
+    digits = unpack_digits(product, m, width, True)
+    if g == 1:
+        return digits
+    out = [0] * n
+    out[: m * g : g] = digits
     return out
 
 
@@ -327,4 +414,4 @@ def truncated_series_product(
             result = _convolve(result, coeffs[: limit + 1])[: limit + 1]
             if not result:
                 break
-    return IntPoly(result)
+    return _of_ints(result)

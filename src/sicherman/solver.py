@@ -81,8 +81,6 @@ differ, since one die's labels can be a prefix of the other's.
 
 from __future__ import annotations
 
-import struct
-import sys
 from itertools import compress
 from math import gcd, prod
 from operator import add, sub
@@ -97,7 +95,9 @@ from .polyint import (
     first_negative,
     one_minus_x_pow,
     one_minus_x_product,
+    pack_digits as _pack,
     truncated_series_product,
+    unpack_digits,
 )
 
 DEFAULT_SEARCH_CAP = 10**6
@@ -338,34 +338,13 @@ def _expand_side(
         limit *= 2
 
 
-# The unsigned format of each digit width that `struct` packs and `_digits`
-# reads in one call.
-_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    """The coefficients, each at least 0 and below 2^(8 * width), as
-    little-endian digits of `width` bytes each.  A width of 1, 2, 4 or 8
-    bytes, which the right-side rule always takes, is packed by one
-    `struct.pack` call in its standard size; any other width, which the
-    prefix mask's bound can call for, one `to_bytes` per coefficient."""
-    code = _DIGIT_FORMATS.get(width)
-    if code is None:
-        data = b"".join([c.to_bytes(width, "little") for c in coeffs])
-    else:
-        data = struct.pack(f"<{len(coeffs)}{code}", *coeffs)
-    return int.from_bytes(data, "little")
-
-
 def _digits(value: int, n: int, width: int) -> Optional[Sequence[int]]:
     """The n digits of `width` bytes of value, lowest first, as `_pack`
     packs them, or None if value is negative or needs more than n digits."""
     try:
-        data = value.to_bytes(n * width, sys.byteorder)
+        return unpack_digits(value, n, width)
     except OverflowError:
         return None
-    digits = memoryview(data).cast(_DIGIT_FORMATS[width])
-    return digits if sys.byteorder == "little" else digits[::-1]
 
 
 # The widest digit, in bytes, at which `_right_side_rule` takes the right

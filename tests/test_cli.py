@@ -21,6 +21,7 @@ from sicherman.cli import (
 )
 from sicherman.counting import count_two_dice_trinomial
 from sicherman.dice import Die, die_to_poly, poly_to_die
+from sicherman.solver import ExponentVector
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -424,6 +425,13 @@ die_labels = st.lists(
     max_size=8,
 )
 dice = die_labels.map(Die) | die_labels.map(lambda v: poly_to_die(die_to_poly(Die(v))))
+# exponent vectors whose divisors sort one way as ints and another as text
+# (2 < 10, "10" < "2"), of none, one or many divisors
+vectors = st.dictionaries(
+    st.integers(1, 2000) | st.sampled_from([1, 2, 10, 12, 100, 1000]),
+    st.integers(-3, 9) | st.sampled_from([0, 10, 10**30]),
+    max_size=12,
+).map(ExponentVector.from_dict)
 
 
 def labels_list(obj):
@@ -433,8 +441,20 @@ def labels_list(obj):
     raise TypeError(f"{obj!r} is not JSON serializable")
 
 
+def vectors_as_dicts(value):
+    """value with each exponent vector in it replaced by the dict of its
+    entries with `str` keys, which json.dumps would write as a list."""
+    if isinstance(value, ExponentVector):
+        return {str(d): c for d, c in value.entries}
+    if isinstance(value, (list, tuple)):
+        return [vectors_as_dicts(item) for item in value]
+    if isinstance(value, dict):
+        return {key: vectors_as_dicts(item) for key, item in value.items()}
+    return value
+
+
 json_values = st.recursive(
-    json_leaves | dice,
+    json_leaves | dice | vectors,
     lambda inner: st.lists(inner)
     | st.lists(inner).map(tuple)
     | st.lists(st.integers() | st.booleans())
@@ -447,7 +467,8 @@ json_values = st.recursive(
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
     with _any_length_integers():
-        want = json.dumps(value, indent=2, sort_keys=True, default=labels_list)
+        plain = vectors_as_dicts(value)
+        want = json.dumps(plain, indent=2, sort_keys=True, default=labels_list)
         assert _json_text(value) == want
 
 

@@ -142,8 +142,8 @@ def test_identity_suite_passes():
         report = check_identity_suite(bound)
         assert report.all_passed
         assert [c.cases for c in report.checks] == cases
-    # from 13 up the tower check multiplies sparse polynomials of degree
-    # about 20,000, which takes the convolution's sparse branch
+    # from 13 up the tower check multiplies polynomials of degree about
+    # 20,000 whose exponents share the stride 13
     assert check_identity_suite(13).all_passed
 
 

@@ -19,11 +19,14 @@ from sicherman.polyint import (
     ONE,
     X,
     ZERO,
+    _convolve,
     first_negative,
     geometric,
     one_minus_x_pow,
     one_minus_x_product,
+    pack_digits,
     truncated_series_product,
+    unpack_digits,
     x_pow_minus_one,
 )
 
@@ -41,9 +44,21 @@ def ref_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly([out.get(k, 0) for k in range(size)])
 
 
-polys = st.builds(IntPoly, st.lists(st.integers(-6, 6), max_size=7))
-# a few nonzero terms spread up to x^500: a product whose longer operand is
-# one of these takes the sparse branch of the convolution
+# Values at and either side of each edge of a product digit of 1, 2, 4 and
+# 8 bytes, whose top bit is the sign, and beyond them, of either sign.
+EDGES = [2**k + d for k in (7, 15, 31, 63, 64, 100) for d in (-1, 0, 1)]
+coefficients = st.integers(-6, 6) | st.sampled_from(EDGES + [-e for e in EDGES])
+dense_polys = st.builds(IntPoly, st.lists(coefficients, max_size=7))
+# c x^k: a constant at k = 0
+monomials = st.builds(
+    lambda c, k: IntPoly([0] * k + [c]), coefficients, st.integers(0, 40)
+)
+# p(x^t): strides on one side, on both, common or coprime
+strided_polys = st.builds(
+    lambda p, t: p.substitute_power(t), dense_polys | monomials, st.integers(1, 7)
+)
+polys = dense_polys | monomials | strided_polys
+# a few nonzero terms spread up to x^500, at no common stride unless drawn so
 sparse_polys = st.dictionaries(
     st.integers(0, 500), st.integers(-6, 6).filter(bool), max_size=6
 ).map(lambda terms: IntPoly(terms.get(k, 0) for k in range(501)))
@@ -94,10 +109,20 @@ def test_mul_examples():
 
 
 def test_mul_large_coefficients_stay_exact():
-    # coefficients far beyond 64 bits must come out exact
+    # coefficients far beyond 64 bits must come out exact: the bound 2^83
+    # needs digits wider than 8 bytes
     big = IntPoly([2**40] * 8)
     assert big * big == ref_mul(big, big)
     assert (big * big)[7] == 8 * 2**80
+
+
+def test_mul_keeps_interior_and_truncated_zeros():
+    # (1 + x)(1 - x + x^2) = 1 + x^3 cancels inside; a truncation or a
+    # scalar 0 cancels at the end, which the canonical form strips
+    assert IntPoly((1, 1)) * IntPoly((1, -1, 1)) == IntPoly((1, 0, 0, 1))
+    assert IntPoly((1, 0, 1)) * IntPoly((1, 0, -1)) == IntPoly((1, 0, 0, 0, -1))
+    assert truncated_series_product([(IntPoly((1, 1)), 1), (IntPoly((1, -1)), 1)], 1) == ONE
+    assert (X * 0).coeffs == () and (geometric(3) * 0) == ZERO
 
 
 def test_pow():
@@ -105,6 +130,25 @@ def test_pow():
     assert X**0 == ONE
     with pytest.raises(ValueError):
         X ** (-1)
+
+
+@given(polys, st.integers(0, 6))
+def test_pow_matches_repeated_reference(p, n):
+    want = ONE
+    for _ in range(n):
+        want = ref_mul(want, p)
+    assert p**n == want
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_signed_digits_read_back_what_pack_packs(width):
+    # widths 1, 2, 4 and 8 by struct and one cast, the others digit by digit
+    top = (1 << (8 * width - 1)) - 1
+    for coeffs in ([], [0], [-1], [top, -top - 1], [0, -1, top, 7, -top - 1, -5, 0]):
+        value = pack_digits(coeffs, width, signed=True)
+        assert value == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+        assert unpack_digits(value, len(coeffs), width, signed=True) == coeffs
+        assert unpack_digits(value, len(coeffs) + 2, width, signed=True) == [*coeffs, 0, 0]
 
 
 def test_div_exact_examples():
@@ -215,9 +259,27 @@ def test_mul_matches_reference(a, b):
     assert a * b == ref_mul(a, b)
 
 
+# coefficient lists as truncated_series_product passes them: trailing zeros
+# and all zeros included, some at a stride
+raw_lists = st.lists(coefficients, max_size=8) | strided_polys.map(
+    lambda p: [*p.coeffs, 0, 0]
+)
+
+
+@given(raw_lists, raw_lists)
+def test_convolve_keeps_its_length(a, b):
+    # len(a) + len(b) - 1 coefficients, trailing zeros kept, since
+    # truncated_series_product slices them
+    out = _convolve(a, b)
+    want = ref_mul(IntPoly(a), IntPoly(b)).coeffs
+    assert len(out) == (len(a) + len(b) - 1 if a and b else 0)
+    assert out == [*want, *[0] * (len(out) - len(want))]
+
+
 def test_mul_sparse_tower():
     # phi_143(x^169) times phi_(13^3 * 11), of degree 20,280 with 71 nonzero
-    # terms each: the identity battery's tower check at p = 13
+    # terms each, all at multiples of 13: the identity battery's tower check
+    # at p = 13
     a = cyclotomic(13 * 11).substitute_power(13**2)
     b = cyclotomic(13**3 * 11)
     assert a * b == ref_mul(a, b)
