@@ -15,7 +15,8 @@ texts from a cached table of decimal texts (`_decimal_texts`) by one
 `Die` itself in their results, and the writer writes it from its
 coefficients: one join of a cached table of label texts, each text
 repeated as often as its label, so no label tuple is built.  The tables
-read the labels.
+read the labels.  They keep each `ExponentVector` too, which the writer
+writes by filling one cached template per problem.
 
 The argparse parser is built once per process, on the first call to
 `main`, and reused: building it costs more than most small commands, and

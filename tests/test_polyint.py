@@ -121,8 +121,9 @@ def test_mul_keeps_interior_and_truncated_zeros():
     # scalar 0 cancels at the end, which the canonical form strips
     assert IntPoly((1, 1)) * IntPoly((1, -1, 1)) == IntPoly((1, 0, 0, 1))
     assert IntPoly((1, 0, 1)) * IntPoly((1, 0, -1)) == IntPoly((1, 0, 0, 0, -1))
-    assert truncated_series_product([(IntPoly((1, 1)), 1), (IntPoly((1, -1)), 1)], 1) == ONE
-    assert (X * 0).coeffs == () and (geometric(3) * 0) == ZERO
+    factors = [(IntPoly((1, 1)), 1), (IntPoly((1, -1)), 1)]
+    assert truncated_series_product(factors, 1) == ONE
+    assert (geometric(3) * 0).coeffs == ()
 
 
 def test_pow():
@@ -148,7 +149,8 @@ def test_signed_digits_read_back_what_pack_packs(width):
         value = pack_digits(coeffs, width, signed=True)
         assert value == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
         assert unpack_digits(value, len(coeffs), width, signed=True) == coeffs
-        assert unpack_digits(value, len(coeffs) + 2, width, signed=True) == [*coeffs, 0, 0]
+        padded = unpack_digits(value, len(coeffs) + 2, width, signed=True)
+        assert padded == [*coeffs, 0, 0]
 
 
 def test_div_exact_examples():
