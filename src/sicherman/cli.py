@@ -8,15 +8,13 @@ results alone; integers print in full, whatever their length.  Exit codes:
 0 success, 1 a check failed, 2 bad usage, 3 a search cap or node budget was
 exceeded, 141 the reader closed stdout before the output was written.  The
 envelope's bytes are those of `json.dumps(envelope, indent=2,
-sort_keys=True)`, written by `_json_text` without that call.  A list of
-two or more ints in [0, TEXT_TABLE_LIMIT), as dice labels are, takes its
-texts from a cached table of decimal texts (`_decimal_texts`) by one
-`itemgetter` call, not by `str` on each int.  The pair commands put each
-`Die` itself in their results, and the writer writes it from its
+sort_keys=True)`, written by `_json_text` without that call.  Every die
+in the results is a `Die` itself: the pair commands' dice, `decompose`'s
+recipe and `oracle`'s pairs.  The writer writes each from its
 coefficients: one join of a cached table of label texts, each text
-repeated as often as its label, so no label tuple is built.  The tables
-read the labels.  They keep each `ExponentVector` too, which the writer
-writes by filling one cached template per problem.
+repeated as often as its label, so no label tuple is built.  A plain list
+of ints is one join of their `str`.  The tables read the labels.  The pair commands keep each `ExponentVector`
+too, which the writer writes by filling one cached template per problem.
 
 The argparse parser is built once per process, on the first call to
 `main`, and reused: building it costs more than most small commands, and
@@ -142,7 +140,7 @@ def cmd_decompose(args) -> tuple[dict, dict, int]:
     recipe = decomposition_die_labels(args.sides, args.split)
     match = recipe == pair.right.die
     results = _pair_results([pair])
-    results["recipe"] = list(recipe.labels)
+    results["recipe"] = recipe
     results["recipe_matches"] = match
     parameters = {"sides": args.sides, "split": args.split}
     return parameters, results, EXIT_OK if match else EXIT_FAIL
@@ -194,7 +192,7 @@ def cmd_identities(args) -> tuple[dict, dict, int]:
 def cmd_oracle(args) -> tuple[dict, dict, int]:
     pairs = brute_force_pairs(args.sides, max_nodes=args.max_nodes)
     results = {
-        "pairs": [[list(a.labels), list(b.labels)] for a, b in pairs],
+        "pairs": [list(pair) for pair in pairs],
         "pair_count": len(pairs),
     }
     return {"sides": args.sides, "max_nodes": args.max_nodes}, results, EXIT_OK
@@ -241,7 +239,7 @@ def render_pairs(title: str, parameters: dict, results: dict) -> list[str]:
 def render_decompose(parameters: dict, results: dict) -> list[str]:
     return [
         *render_pairs("m={sides} split a={split}", parameters, results),
-        f"recipe: {_labels_text(results['recipe'])}",
+        f"recipe: {_labels_text(results['recipe'].labels)}",
         f"recipe matches expansion: {'yes' if results['recipe_matches'] else 'NO'}",
     ]
 
@@ -268,7 +266,7 @@ def render_identities(parameters: dict, results: dict) -> list[str]:
 def render_oracle(parameters: dict, results: dict) -> list[str]:
     lines = [f"m={parameters['sides']}: {results['pair_count']} pairs (brute force)"]
     for i, (a, b) in enumerate(results["pairs"], 1):
-        lines.append(f"pair {i}: {_labels_text(a)} | {_labels_text(b)}")
+        lines.append(f"pair {i}: {_labels_text(a.labels)} | {_labels_text(b.labels)}")
     return lines
 
 
@@ -373,23 +371,17 @@ def _any_length_integers():
         sys.set_int_max_str_digits(limit)
 
 
-# A list of ints below TEXT_TABLE_LIMIT, as dice labels are, is written by
-# indexing a table of decimal texts in place of calling `str` on each int.
+# A die whose labels are all below TEXT_TABLE_LIMIT is written from a cached
+# table of label texts in place of calling `str` on each label.
 TEXT_TABLE_LIMIT = 1 << 16
-
-
-@cache
-def _decimal_texts(size: int) -> tuple[str, ...]:
-    """The decimal texts of 0 .. size - 1, built once per size.  A table is
-    never changed once built, so no caller sees one half made."""
-    return tuple(map(str, range(size)))
 
 
 @cache
 def _label_texts(size: int, pad: str) -> tuple[str, ...]:
     """`pad + str(j) + ","` for j in 0 .. size - 1, built once per size and
-    nesting: the text of one label j of a die's JSON list."""
-    return tuple([pad + text + "," for text in _decimal_texts(size)])
+    nesting: the text of one label j of a die's JSON list.  A table is never
+    changed once built, so no caller sees one half made."""
+    return tuple([f"{pad}{j}," for j in range(size)])
 
 
 @lru_cache(maxsize=64)
@@ -410,10 +402,10 @@ def _json_text(obj, pad: str = "\n") -> str:
     """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it, at the
     nesting whose line break and indent are `pad`.  That call runs the
     pure-Python encoder; here an int is its `str`, written in place when it
-    is a dict's value, and a list of ints one join.  When a list holds two
-    or more ints, every one in [0, TEXT_TABLE_LIMIT), its texts are taken
-    from `_decimal_texts` by one `itemgetter` call.  A bool is not exactly
-    an int, so it is not written as one.
+    is a dict's value, and a list of ints one join of their `str`: the long
+    int lists, dice labels, come as `Die`s and are written from their
+    coefficients, below.  A bool is not exactly an int, so it is not
+    written as one.
 
     A `Die` is written as `json.dumps` writes the list of its labels, but
     from its coefficients, so no label tuple is built: label j, repeated
@@ -449,13 +441,7 @@ def _json_text(obj, pad: str = "\n") -> str:
         ]
     elif isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:
-            top = max(obj)
-            # itemgetter of one index returns the text itself, not a tuple
-            if len(obj) > 1 and min(obj) >= 0 and top < TEXT_TABLE_LIMIT:
-                # the table's size is the next power of two above the top int
-                body = itemgetter(*obj)(_decimal_texts(1 << top.bit_length()))
-            else:
-                body = map(str, obj)
+            body = map(str, obj)
         else:
             body = [_json_text(item, inner) for item in obj]
     else:

@@ -104,8 +104,7 @@ def check_triangular_identity(m: int, a: int) -> bool:
     b = m // a
     if m * m != a * a * (triangular(b) + triangular(b - 1)):
         return False
-    big = decompose(m, a).right.poly
-    counts = [c for c in big.coeffs if c]
+    counts = [c for c in decompose(m, a).right.die.coeffs if c]
     head, tail = counts[: a * b], counts[a * b :]
     return (
         len(tail) == a * (b - 1)

@@ -2,8 +2,9 @@
 
 A die is the multiset of labels on its faces.  Its generating polynomial has
 the multiplicity of label j as the coefficient of x^j.  A `Die` holds either
-form: its sorted labels, or, when `poly_to_die` made it, the polynomial's
-coefficient tuple, whose labels are built only when they are first read.
+form: its sorted labels, or the polynomial's coefficient tuple, as every
+die the solver and the oracle find holds (`Die.from_coeffs`); the form a
+die lacks is built only when it is first read.
 `sum_histogram` deliberately avoids polynomial arithmetic: it walks every
 combination of faces and tallies the sums, so it can serve as an
 independent check on anything computed by convolution.
@@ -16,7 +17,7 @@ from itertools import chain, count, product, repeat
 from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
-from .polyint import IntPoly
+from .polyint import IntPoly, first_negative
 
 
 class DieError(Exception):
@@ -35,13 +36,17 @@ class Die:
     """An ordered tuple of face labels, each a positive integer.
 
     A die holds one of two forms of the same multiset: its sorted labels, as
-    `Die(labels)` and every other constructor keep them, or the coefficient
-    tuple of its generating polynomial, as `poly_to_die` keeps it.  The form
+    `Die(labels)`, `standard` and `from_text` keep them, or the coefficient
+    tuple of its generating polynomial, as `from_coeffs` keeps it.  The form
     it lacks is built the first time it is read (`labels` or `coeffs`) and
     kept; two threads that build it at once build equal tuples.  Equality,
     hashing, `repr`, copies and pickles are those of the labels, whichever
     form is held; two dice that both hold coefficients are compared by
     them, without building labels.
+
+    `Die(labels)` counts no coefficients up front: a die given as text, such
+    as ``1,1000000000``, may have a coefficient tuple of gigabytes, while
+    comparing, hashing, printing and `sum_histogram` need only its labels.
     """
 
     __slots__ = ("_labels", "_coeffs")
@@ -56,12 +61,24 @@ class Die:
         _set_coeffs(self, None)
 
     @classmethod
-    def _from_coeffs(cls, coeffs: tuple[int, ...]) -> Die:
-        """The die whose generating polynomial has these coefficients, which
-        the caller has checked: nonnegative, constant term 0, last nonzero."""
+    def from_coeffs(cls, coeffs: Iterable[int]) -> Die:
+        """The die of these coefficients, indexed by power, trailing zeros
+        dropped; raises NegativeCoefficient, NonzeroConstantTerm or DieError,
+        checked in that order, when they are not a die's."""
+        cs = list(map(index, coeffs))
+        while cs and cs[-1] == 0:
+            cs.pop()
+        # min runs in C; the first negative is located only once one is known
+        if min(cs, default=0) < 0:
+            power, value = first_negative(cs)
+            raise NegativeCoefficient(f"coefficient {value} at power {power}")
+        if cs and cs[0] != 0:
+            raise NonzeroConstantTerm("constant term must be 0")
+        if not cs:
+            raise DieError("a die needs at least one face")
         die = object.__new__(cls)
         _set_labels(die, None)
-        _set_coeffs(die, coeffs)
+        _set_coeffs(die, tuple(cs))
         return die
 
     @property
@@ -144,18 +161,8 @@ def die_to_poly(die: Die) -> IntPoly:
 
 
 def poly_to_die(poly: IntPoly) -> Die:
-    """Inverse of `die_to_poly`; rejects polynomials that are not dice.  The
-    die keeps the coefficients and builds its labels when they are read."""
-    coeffs = poly.coeffs
-    # min runs in C; the first negative is located only once one is known
-    if min(coeffs, default=0) < 0:
-        power, value = poly.first_negative()
-        raise NegativeCoefficient(f"coefficient {value} at power {power}")
-    if poly[0] != 0:
-        raise NonzeroConstantTerm("constant term must be 0")
-    if not coeffs:
-        raise DieError("a die needs at least one face")
-    return Die._from_coeffs(coeffs)
+    """Inverse of `die_to_poly`; rejects polynomials that are not dice."""
+    return Die.from_coeffs(poly.coeffs)
 
 
 class SumHistogram(NamedTuple):

@@ -46,14 +46,13 @@ def verify_pair_against_standard(
     )
 
 
-def _labels(counts: int, width: int, last: int) -> Die:
-    """The die with each value 1 .. last repeated as often as its digit,
-    `width` bytes wide, in `counts` says."""
+def _die(counts: int, width: int, last: int) -> Die:
+    """The die whose coefficient of x^v, v = 0 .. last, is digit v of
+    `counts`, `width` bytes wide: no label list is built or sorted."""
     data = counts.to_bytes(width * (last + 1), "little")
-    return Die([
-        v
-        for v in range(1, last + 1)
-        for _ in range(int.from_bytes(data[v * width : (v + 1) * width], "little"))
+    return Die.from_coeffs([
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, len(data), width)
     ])
 
 
@@ -159,7 +158,7 @@ def brute_force_pairs(
     while stack:
         v, count_a, count_b, tied, conv, pa, pb = stack.pop()
         if count_a == m and count_b == m2:
-            pair = (_labels(pa, width, last), _labels(pb, width, last))
+            pair = (_die(pa, width, last), _die(pb, width, last))
             if not verify_pair_against_standard(pair[0], pair[1], m, m2):
                 raise AssertionError(f"search produced a bad pair {pair}")
             found.append(pair)

@@ -66,17 +66,19 @@ row is a head row plus a tail row, the right row is what the left leaves
 of the problem's whole row, and each vector is the part of its row after
 the net exponents.
 
-Each found die keeps its polynomial's coefficient tuple (`poly_to_die`),
-and its labels are built only when a caller reads them, so sides and pairs
-are ordered by coefficients.  Within one problem every left die has one
-face count, and every right die one.  For two dice with the same face
-count, labels ascending is coefficients descending: at the first power j
-where their coefficients differ, the die with more j's has a j where the
-other has a larger label.  So a symmetric pair puts the die with the larger
-coefficient tuple on the left, and pairs sorted by coefficients in
-descending order come out sorted by labels.  `SolutionPair.sorted_sides`
-still compares labels: for dice of unequal face counts the two orders can
-differ, since one die's labels can be a prefix of the other's.
+A side is expanded and divided as a coefficient list, and each found die
+is made from it (`Die.from_coeffs`); no side is an `IntPoly` unless a
+caller reads `SolutionSide.poly`.  A die's labels are built only when a
+caller reads them, so sides and pairs are ordered by coefficients.  Within
+one problem every left die has one face count, and every right die one.
+For two dice with the same face count, labels ascending is coefficients
+descending: at the first power j where their coefficients differ, the die
+with more j's has a j where the other has a larger label.  So a symmetric
+pair puts the die with the larger coefficient tuple on the left, and pairs
+sorted by coefficients in descending order come out sorted by labels.
+`SolutionPair.sorted_sides` still compares labels: for dice of unequal
+face counts the two orders can differ, since one die's labels can be a
+prefix of the other's.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cyclotomic import cyclotomic, divisors, is_prime, mobius_exponents, prime_factors
-from .dice import Die, poly_to_die
+from .dice import Die
 from .polyint import (
     ONE,
     IntPoly,
@@ -196,9 +198,15 @@ class ExponentVector(NamedTuple):
 
 
 class SolutionSide(NamedTuple):
+    """One die of a found pair, held as coefficients, and its vector."""
+
     die: Die
-    poly: IntPoly
     vector: ExponentVector
+
+    @property
+    def poly(self) -> IntPoly:
+        """The die's generating polynomial, built on each read."""
+        return IntPoly(self.die.coeffs)
 
 
 class SolutionPair(NamedTuple):
@@ -311,9 +319,10 @@ def _combine(axes: Sequence[Rows], width: int) -> Rows:
 
 def _expand_side(
     net: Mapping[int, int],
-) -> tuple[Optional[IntPoly], Optional[tuple[int, int]]]:
-    """(x * prod((1 - x^k)^E_k), None) for one side's net exponents {k: E_k},
-    or (None, (power, coefficient)) at the body's first negative coefficient.
+) -> tuple[Optional[list[int]], Optional[tuple[int, int]]]:
+    """(coefficients of x * prod((1 - x^k)^E_k), None) for one side's net
+    exponents {k: E_k}, or (None, (power, coefficient)) at the body's first
+    negative coefficient.
 
     The body is expanded up to x^(2 * PREFILTER_DEGREE), then to twice the
     last limit, but a limit whose double would reach half the body's degree
@@ -334,7 +343,7 @@ def _expand_side(
         if min(lower) < 0:
             return None, first_negative(lower)
         if limit == half:
-            return IntPoly([0, *lower, *lower[: degree - half][::-1]]), None
+            return [0, *lower, *lower[: degree - half][::-1]], None
         limit *= 2
 
 
@@ -360,12 +369,13 @@ QUOTIENT_MAX_WIDTH = 2
 
 def _right_side_rule(
     sizes: tuple[int, int],
-) -> Callable[[IntPoly, Iterable[tuple[int, int]]], Optional[IntPoly]]:
-    """The rule that takes a split's right side from its nonnegative left
-    side L and its right net exponents, as (k, E_k) pairs: F / L when it has
-    no negative coefficient, else None, where F is the frequency polynomial
-    of two standard dice of `sizes`.  Raises NonExactDivision when L does
-    not divide F, or when L times the expanded right side is not F.  See the
+) -> Callable[[Sequence[int], Iterable[tuple[int, int]]], Optional[Sequence[int]]]:
+    """The rule that takes a split's right side from the coefficients of its
+    nonnegative left side L and its right net exponents, as (k, E_k) pairs:
+    the coefficients of F / L when it has no negative one, else None, where
+    F is the frequency polynomial of two standard dice of `sizes`.  Raises
+    NonExactDivision when L does not divide F, or when L times the expanded
+    right side is not F.  See the
     module docstring for the two ways it is decided exactly, and why the
     digit width picks between them.
     """
@@ -378,19 +388,19 @@ def _right_side_rule(
     packed_freq = _pack(freq, width)
 
     def by_quotient(
-        left: IntPoly, right_net: Iterable[tuple[int, int]]
-    ) -> Optional[IntPoly]:
-        quotient, remainder = divmod(packed_freq, _pack(left.coeffs, width))
+        left: Sequence[int], right_net: Iterable[tuple[int, int]]
+    ) -> Optional[Sequence[int]]:
+        quotient, remainder = divmod(packed_freq, _pack(left, width))
         if remainder:
-            raise NonExactDivision(f"{left!r} does not divide the frequency poly")
-        right = _digits(quotient, len(freq) - len(left.coeffs) + 1, width)
-        if right is None or sum(left.coeffs) * sum(right) != faces:
+            raise NonExactDivision(f"{left} does not divide the frequency poly")
+        right = _digits(quotient, len(freq) - len(left) + 1, width)
+        if right is None or sum(left) * sum(right) != faces:
             return None
-        return IntPoly(right)
+        return right
 
     def by_expansion(
-        left: IntPoly, right_net: Iterable[tuple[int, int]]
-    ) -> Optional[IntPoly]:
+        left: Sequence[int], right_net: Iterable[tuple[int, int]]
+    ) -> Optional[Sequence[int]]:
         right, _ = _expand_side({k: e for k, e in right_net if e})
         if right is None:
             return None
@@ -398,10 +408,10 @@ def _right_side_rule(
         # no product coefficient above it, so their packed product carries
         # nothing and is packed F exactly when their product is F.
         if (
-            sum(left.coeffs) * sum(right.coeffs) != faces
-            or _pack(left.coeffs, width) * _pack(right.coeffs, width) != packed_freq
+            sum(left) * sum(right) != faces
+            or _pack(left, width) * _pack(right, width) != packed_freq
         ):
-            raise NonExactDivision(f"{left!r} times {right!r} is not the frequency poly")
+            raise NonExactDivision(f"{left} times {right} is not the frequency poly")
         return right
 
     return by_quotient if width <= QUOTIENT_MAX_WIDTH else by_expansion
@@ -571,26 +581,26 @@ def _enumerate(
             # pair once sorted, so only the smaller of the two is visited.
             if symmetric and left_row > right_row:
                 continue
-            left_poly, _ = _expand_side({k: e for k, e in zip(ks, left_row) if e})
-            if left_poly is None:
+            left_coeffs, _ = _expand_side({k: e for k, e in zip(ks, left_row) if e})
+            if left_coeffs is None:
                 continue
             try:
-                right_poly = right_side(left_poly, zip(ks, right_row))
+                right_coeffs = right_side(left_coeffs, zip(ks, right_row))
             except NonExactDivision:
                 raise AssertionError(
                     f"split {vector(left_row)} does not multiply back"
                     " to the frequency poly"
                 ) from None
-            if right_poly is None:
+            if right_coeffs is None:
                 continue
-            left = SolutionSide(poly_to_die(left_poly), left_poly, vector(left_row))
-            right = SolutionSide(poly_to_die(right_poly), right_poly, vector(right_row))
+            left = SolutionSide(Die.from_coeffs(left_coeffs), vector(left_row))
+            right = SolutionSide(Die.from_coeffs(right_coeffs), vector(right_row))
             # the die with the smaller labels has the larger coefficients
-            if symmetric and left_poly.coeffs < right_poly.coeffs:
+            if symmetric and left.die.coeffs < right.die.coeffs:
                 left, right = right, left
             found.append(SolutionPair(left, right))
     return sorted(
-        found, key=lambda p: (p.left.poly.coeffs, p.right.poly.coeffs), reverse=True
+        found, key=lambda p: (p.left.die.coeffs, p.right.die.coeffs), reverse=True
     )
 
 
@@ -719,31 +729,29 @@ def decompose(m: int, a: int) -> SolutionPair:
     left = ExponentVector.from_dict({d: (1 if a % d == 0 else 0) for d in mults})
     sides = []
     for vector in (left, left.complement(mults)):
-        poly, witness = _expand_side(net_exponents(vector))
-        if poly is None:
+        coeffs, witness = _expand_side(net_exponents(vector))
+        if coeffs is None:
             raise AssertionError(f"divisor {a} of {m} gave the witness {witness}")
-        sides.append(SolutionSide(poly_to_die(poly), poly, vector))
+        sides.append(SolutionSide(Die.from_coeffs(coeffs), vector))
     return SolutionPair(*sides)
 
 
 def decomposition_die_labels(m: int, a: int) -> Die:
-    """Closed-form labels of the large die in `decompose(m, a)`.
+    """Closed-form large die of `decompose(m, a)`, made from coefficients.
 
     With b = m // a, the labels come from 1..2m-a: for each i < b the numbers
     (i-1)a+1 .. ia and 2m-(i+1)a+1 .. 2m-ia appear i times, and the middle
-    block m-a+1 .. m appears b times.
+    block m-a+1 .. m appears b times.  Each such block of a powers takes one
+    slice of the coefficient list, so no label list is built.
     """
     _check_decomposition(m, a)
     b = m // a
-    labels: list[int] = []
+    coeffs = [0] * (2 * m - a + 1)
     for i in range(1, b):
-        for v in range((i - 1) * a + 1, i * a + 1):
-            labels.extend([v] * i)
-        for v in range(2 * m - (i + 1) * a + 1, 2 * m - i * a + 1):
-            labels.extend([v] * i)
-    for v in range(m - a + 1, m + 1):
-        labels.extend([v] * b)
-    return Die(tuple(labels))
+        coeffs[(i - 1) * a + 1 : i * a + 1] = [i] * a
+        coeffs[2 * m - (i + 1) * a + 1 : 2 * m - i * a + 1] = [i] * a
+    coeffs[m - a + 1 : m + 1] = [b] * a
+    return Die.from_coeffs(coeffs)
 
 
 # -- exclusion certificates -------------------------------------------------

@@ -6,7 +6,8 @@ from sicherman.dice import Die
 @pytest.fixture
 def label_builds(monkeypatch):
     """The coefficient tuples of the dice whose label tuples are built while
-    the test runs: a die from `poly_to_die` builds its labels on first read."""
+    the test runs: a die from `Die.from_coeffs` builds its labels on first
+    read."""
     built = []
     read = Die.labels.fget
 

@@ -197,6 +197,14 @@ def test_decompose(capsys):
     assert code == 0
     assert "recipe: 1,2,3,3,4,4,5,5,5,6,6,6,7,7,8,8,9,10" in out
     assert "recipe matches expansion: yes" in out
+    # the JSON recipe is the same label list
+    code, out, _ = run(
+        capsys, "decompose", "--sides", "6", "--split", "2", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["recipe"] == [
+        1, 2, 3, 3, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 8, 8, 9, 10
+    ]
     code, _, err = run(capsys, "decompose", "--sides", "6", "--split", "4")
     assert code == 2
     assert "4 does not divide 6" in err
@@ -523,11 +531,48 @@ def test_solve_json_builds_no_label_tuple(capsys, label_builds):
 
 
 def test_json_writer_reuses_its_text_tables():
-    # a table built for large labels, then a small one, then the large again
-    large = {"labels": [1, 2, 39_999, 40_000]}
-    small = {"labels": [1, 2, 3, 5]}
-    for value in (large, small, large):
-        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    # a table built for large labels, then a small one, then the large again,
+    # for a die of labels, a die of coefficients and a plain list of ints
+    large = [1, 2, 39_999, 40_000]
+    small = [1, 2, 3, 5]
+    for labels in (large, small, large):
+        for value in (
+            {"labels": labels},
+            {"labels": Die(labels)},
+            {"labels": poly_to_die(die_to_poly(Die(labels)))},
+        ):
+            want = json.dumps(value, indent=2, sort_keys=True, default=labels_list)
+            assert _json_text(value) == want
+
+
+def test_decompose_json_builds_no_label_tuple(capsys, label_builds):
+    # the expansion's die and the closed-form recipe both hold coefficients,
+    # so they compare, count and are written without their labels
+    code, out, _ = run(
+        capsys, "decompose", "--sides", "111", "--split", "1", "--format", "json"
+    )
+    results = json.loads(out)["results"]
+    assert code == 0 and results["recipe_matches"] is True
+    assert results["recipe"] == results["pairs"][0][1]
+    assert len(results["recipe"]) == 111 * 111
+    assert label_builds == []
+
+
+def test_verify_a_die_with_a_huge_label(capsys):
+    # a die given as text keeps its labels: one label of 10^9 would be a
+    # coefficient tuple of 10^9 + 1 entries, so this runs in a process
+    # limited to 1 GB, where building one raises MemoryError
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "sicherman", "verify", "--die", "1,1000000000",
+         "--die", "1,2", "--reference", "2"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 1 and result.stderr == ""
+    assert result.stdout == "MISMATCH at sum 3: got 1, want 2\n"
 
 
 def test_json_writer_rejects_a_key_that_is_not_text():

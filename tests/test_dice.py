@@ -1,6 +1,11 @@
 import copy
+import os
 import pickle
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -172,12 +177,67 @@ def test_dice_of_coefficients_compare_without_building_labels(label_builds):
 
 
 def test_poly_to_die_keeps_its_error_messages():
-    with pytest.raises(NegativeCoefficient, match=r"^coefficient -1 at power 2$"):
-        poly_to_die(IntPoly((0, 1, -1, 2, -5)))
+    # poly_to_die and Die.from_coeffs give the same three messages, checked
+    # in the same order
+    for make in (poly_to_die, lambda poly: Die.from_coeffs(poly.coeffs)):
+        with pytest.raises(NegativeCoefficient, match=r"^coefficient -1 at power 2$"):
+            make(IntPoly((0, 1, -1, 2, -5)))
+        with pytest.raises(NonzeroConstantTerm, match=r"^constant term must be 0$"):
+            make(IntPoly((1, 1)))
+        # the sign check comes first
+        with pytest.raises(NegativeCoefficient, match=r"^coefficient -1 at power 0$"):
+            make(IntPoly((-1, 1)))
+        with pytest.raises(DieError, match=r"^a die needs at least one face$"):
+            make(IntPoly(()))
+
+
+def test_from_coeffs_checks_what_it_is_given():
+    # trailing zeros are dropped, as IntPoly drops them
+    die = Die.from_coeffs((0, 1, 0, 0))
+    assert die == Die((1,)) and Die((1,)) == die
+    assert die.coeffs == (0, 1) and die.labels == (1,) and die.size == 1
+    assert Die.from_coeffs([0, 1, 2, 1, 0]) == poly_to_die(IntPoly((0, 1, 2, 1)))
+    # a list given is copied, so changing it later leaves the die alone
+    coeffs = [0, 2, 1]
+    die = Die.from_coeffs(coeffs)
+    coeffs[1] = 5
+    assert die.coeffs == (0, 2, 1) and die.labels == (1, 1, 2)
+    # the messages of raw coefficients, trailing zeros and all
+    with pytest.raises(NegativeCoefficient, match=r"^coefficient -2 at power 3$"):
+        Die.from_coeffs([0, 1, 0, -2, 0])
     with pytest.raises(NonzeroConstantTerm, match=r"^constant term must be 0$"):
-        poly_to_die(IntPoly((1, 1)))
-    # the sign check comes first
-    with pytest.raises(NegativeCoefficient, match=r"^coefficient -1 at power 0$"):
-        poly_to_die(IntPoly((-1, 1)))
+        Die.from_coeffs([3, 1, 0])
     with pytest.raises(DieError, match=r"^a die needs at least one face$"):
-        poly_to_die(IntPoly(()))
+        Die.from_coeffs([0, 0, 0])
+    # counts are exact integers: no floats, even integral ones
+    for bad in ([0, 1.0], [0.0, 1], [0, Fraction(1)]):
+        with pytest.raises(TypeError):
+            Die.from_coeffs(bad)
+
+
+def test_a_die_with_a_huge_label_stays_cheap():
+    # A die of labels builds no coefficient tuple, which here would hold
+    # 10^9 + 1 entries: the checks run in a process limited to 1 GB, where
+    # such a build raises MemoryError rather than filling the machine.
+    code = """if True:
+        from sicherman.dice import Die, sum_histogram
+        die = Die((10**9, 1))
+        assert die == Die((1, 10**9)) and die != Die((1, 2))
+        assert die != Die.from_coeffs((0, 1, 1))
+        assert hash(die) == hash(Die((1, 10**9)))
+        assert die.size == 2 and die.labels == (1, 10**9)
+        assert str(die) == die.to_text() == "1,1000000000"
+        assert repr(die) == "Die(labels=(1, 1000000000))"
+        assert sum_histogram([die, Die((1,))]).entries == ((2, 1), (10**9 + 1, 1))
+        print("cheap")
+    """
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        preexec_fn=limit_memory, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "cheap\n", "")
