@@ -29,6 +29,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import cache, lru_cache, partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mul
 from typing import Optional, Sequence
@@ -398,11 +399,42 @@ def _vector_template(divisors: tuple[int, ...], pad: str) -> tuple[str, itemgett
     return "{" + inner + body + pad + "}", itemgetter(*order)
 
 
+def _json_pieces(obj, out: list[str], pad: str = "\n") -> None:
+    """Append to `out` the pieces of `obj` as `json.dumps(obj, indent=2,
+    sort_keys=True)` writes it, at the nesting whose line break and indent
+    are `pad`.  A dict, or a list or tuple that holds more than ints, is
+    written piece by piece: each opening or separator with the key that
+    follows it, each item's own pieces, and the closing.  Anything else is
+    one piece, `_json_text`.  So no text holds more than one leaf, and the
+    output is never copied whole."""
+    if isinstance(obj, dict) and obj:
+        opening, closing = "{}"
+        items = ((f"{encode_basestring_ascii(k)}: ", v) for k, v in sorted(obj.items()))
+    elif (
+        isinstance(obj, (list, tuple))
+        and type(obj) is not ExponentVector
+        and obj
+        and set(map(type, obj)) != {int}
+    ):
+        opening, closing = "[]"
+        items = zip(repeat(""), obj)
+    else:
+        out.append(_json_text(obj, pad))
+        return
+    inner = pad + "  "
+    separator = opening + inner
+    for key, value in items:
+        out.append(separator + key)
+        _json_pieces(value, out, inner)
+        separator = "," + inner
+    out.append(pad + closing)
+
+
 def _json_text(obj, pad: str = "\n") -> str:
-    """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it, at the
-    nesting whose line break and indent are `pad`.  That call runs the
-    pure-Python encoder; here an int is its `str`, written in place when it
-    is a dict's value, and a list of ints one join of their `str`: the long
+    """The text of one piece of `_json_pieces`: `obj` as `json.dumps(obj,
+    indent=2, sort_keys=True)` writes it, at the nesting whose line break
+    and indent are `pad`.  That call runs the pure-Python encoder; here an
+    int is its `str`, and a list of ints one join of their `str`: the long
     int lists, dice labels, come as `Die`s and are written from their
     coefficients, below.  A bool is not exactly an int, so it is not
     written as one.
@@ -432,22 +464,10 @@ def _json_text(obj, pad: str = "\n") -> str:
         texts = _label_texts(1 << (len(coeffs) - 1).bit_length(), pad + "  ")
         # the last text's comma is dropped
         return f"[{''.join(map(mul, texts, coeffs))[:-1]}{pad}]"
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        body = [
-            f"{encode_basestring_ascii(key)}: "
-            + (str(value) if type(value) is int else _json_text(value, inner))
-            for key, value in sorted(obj.items())
-        ]
-    elif isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) == {int}:
-            body = map(str, obj)
-        else:
-            body = [_json_text(item, inner) for item in obj]
-    else:
-        return json.dumps(obj)
-    opening, closing = "{}" if isinstance(obj, dict) else "[]"
-    return opening + inner + ("," + inner).join(body) + pad + closing
+    if isinstance(obj, (list, tuple)) and obj:  # only ints, as `_json_pieces` calls it
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(map(str, obj)) + pad + "]"
+    return json.dumps(obj)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -462,9 +482,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "results": results,
                     "status": "ok" if code == EXIT_OK else "fail",
                 }
-                lines = [_json_text(envelope)]
+                out: list[str] = []
+                _json_pieces(envelope, out)
+                out.append("\n")
             else:
-                lines = args.render(parameters, results)
+                # the table's lines, each followed by a line break, unjoined
+                out = [
+                    piece
+                    for line in args.render(parameters, results)
+                    for piece in (line, "\n")
+                ]
     except (SearchCapExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -475,7 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        print("\n".join(lines))
+        sys.stdout.writelines(out)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe.  Python flushes stdout again at exit,

@@ -566,21 +566,27 @@ def _enumerate(
         return ExponentVector(tuple([*zip(divs, row[len(ks):])]))
 
     limit = _prefix_limit(face_counts)
+    heads = _prefix_pairs(ks, head, head_full, limit, symmetric)
+    if symmetric:
+        # With equal face counts a split and its complement give the same
+        # pair once sorted, and the complement of split (i, j) is split
+        # (H - 1 - i, T - 1 - j) (see `_halves`), so the mask takes the first
+        # half of the heads and, of a middle head, the first half of the tails.
+        heads = heads[: (len(head) + 1) // 2]
     survivors = _prefix_survivors(
-        _prefix_pairs(ks, head, head_full, limit, symmetric),
-        _prefix_pairs(ks, tail, tail_full, limit, symmetric),
-        limit,
+        heads, _prefix_pairs(ks, tail, tail_full, limit, symmetric), limit
     )
 
     found: list[SolutionPair] = []
-    for head_row, passed in zip(head, survivors):
+    for i, (head_row, passed) in enumerate(zip(head, survivors)):
+        if symmetric and 2 * i == len(head) - 1:
+            passed = [j for j in passed if 2 * j <= len(tail) - 1]
         for j in passed:
             left_row = list(map(add, head_row, tail[j]))
             right_row = list(map(sub, total, left_row))
-            # With equal face counts a split and its complement give the same
-            # pair once sorted, so only the smaller of the two is visited.
+            # Of a split and its complement, the smaller row is the left one.
             if symmetric and left_row > right_row:
-                continue
+                left_row, right_row = right_row, left_row
             left_coeffs, _ = _expand_side({k: e for k, e in zip(ks, left_row) if e})
             if left_coeffs is None:
                 continue

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from sicherman.cli import (
     TEXT_TABLE_LIMIT,
     _any_length_integers,
-    _json_text,
+    _json_pieces,
     build_parser,
     main,
 )
@@ -24,6 +24,13 @@ from sicherman.dice import Die, die_to_poly, poly_to_die
 from sicherman.solver import ExponentVector
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def json_text(value):
+    """What `main` writes of `value`, the pieces joined."""
+    out = []
+    _json_pieces(value, out)
+    return "".join(out)
 
 
 def run(capsys, *argv):
@@ -131,6 +138,21 @@ def test_closed_pipe_exits_141_without_a_traceback():
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 141
     assert "Traceback" not in err
+
+
+def test_closed_pipe_exits_141_without_a_traceback_on_json():
+    # the JSON envelope is written as many pieces, so the pipe closes while
+    # they are being written
+    with subprocess.Popen(
+        [sys.executable, "-m", "sicherman", "solve", "--sides", "96", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    ) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == ""
 
 
 def test_solve_usage_error(capsys):
@@ -477,7 +499,7 @@ def test_json_writer_matches_json_dumps(value):
     with _any_length_integers():
         plain = vectors_as_dicts(value)
         want = json.dumps(plain, indent=2, sort_keys=True, default=labels_list)
-        assert _json_text(value) == want
+        assert json_text(value) == want
 
 
 @pytest.mark.parametrize(
@@ -498,7 +520,7 @@ def test_json_writer_matches_json_dumps(value):
 )
 def test_json_writer_matches_json_dumps_on_short_lists_and_dicts(value):
     with _any_length_integers():
-        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
@@ -517,7 +539,7 @@ def test_json_writer_writes_a_die_as_its_label_list(labels):
     for die in (Die(labels), poly_to_die(die_to_poly(Die(labels)))):
         for value in (die, [die, die], {"results": {"pairs": [[die, Die((1,))]]}}):
             want = json.dumps(value, indent=2, sort_keys=True, default=labels_list)
-            assert _json_text(value) == want
+            assert json_text(value) == want
 
 
 def test_solve_json_builds_no_label_tuple(capsys, label_builds):
@@ -542,7 +564,7 @@ def test_json_writer_reuses_its_text_tables():
             {"labels": poly_to_die(die_to_poly(Die(labels)))},
         ):
             want = json.dumps(value, indent=2, sort_keys=True, default=labels_list)
-            assert _json_text(value) == want
+            assert json_text(value) == want
 
 
 def test_decompose_json_builds_no_label_tuple(capsys, label_builds):
@@ -578,7 +600,7 @@ def test_verify_a_die_with_a_huge_label(capsys):
 def test_json_writer_rejects_a_key_that_is_not_text():
     # json.dumps would write the key 1 as "1"
     with pytest.raises(TypeError):
-        _json_text({"results": {1: [2, 3]}})
+        json_text({"results": {1: [2, 3]}})
 
 
 def test_identities(capsys):

@@ -1,6 +1,7 @@
 """Solver enumeration against frozen small cases and the histogram oracle."""
 
 import ast
+import collections
 import copy
 import hashlib
 import itertools
@@ -232,6 +233,17 @@ def test_search_cap():
     with pytest.raises(SearchCapExceeded, match="81"):
         enumerate_pairs(30, search_cap=5)
     assert len(enumerate_pairs(30, search_cap=81)) == 13
+
+
+def test_solve_180_is_pinned():
+    # 180 = 2^2 3^2 5 has more splits than the default cap; this hash was
+    # recorded while the mask still ran over every head
+    pairs = enumerate_pairs(180, search_cap=5 * 10**6)
+    assert len(pairs) == 1676
+    text = repr([(p.labels, p.left.vector, p.right.vector) for p in pairs])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1a8cbfddba5102673a40490acdaf43fa6bb9fa5d61afdfebc2f2fec58fc78126"
+    )
 
 
 def test_search_cap_must_be_positive():
@@ -622,12 +634,85 @@ def test_prefix_mask_matches_expand_side(name):
 
 def test_symmetric_halves_complement_in_reverse():
     # with equal face counts, what row j of a half leaves of its full row is
-    # row n - 1 - j, which is what lets _prefix_pairs share each series
+    # row n - 1 - j, which is what lets _prefix_pairs share each series and
+    # lets _enumerate mask only the first half of the heads
     for m in [*range(1, 61), 72, 96]:
         _, halves = solver._halves(_divisor_mults((m, m)), m, 10**7)
         for rows, full in halves:
             leaves = [[f - e for f, e in zip(full, row)] for row in rows]
             assert leaves == rows[::-1], m
+
+
+def masked_splits(sizes, face_counts):
+    """(H, the left net exponents of every split the mask passes, run over
+    all H heads, whose left row is at most its right row)."""
+    ks, [(head, head_full), (tail, tail_full)] = solver._halves(
+        _divisor_mults(sizes), face_counts[0], 10**7
+    )
+    limit = solver._prefix_limit(face_counts)
+    symmetric = face_counts[0] == face_counts[1]
+    total = [a + b for a, b in zip(head_full, tail_full)]
+    masks = solver._prefix_survivors(
+        solver._prefix_pairs(ks, head, head_full, limit, symmetric),
+        solver._prefix_pairs(ks, tail, tail_full, limit, symmetric),
+        limit,
+    )
+    nets = []
+    for h, passed in zip(head, masks, strict=True):
+        for j in passed:
+            left = [a + b for a, b in zip(h, tail[j])]
+            if left <= [a - b for a, b in zip(total, left)]:
+                nets.append(tuple((k, e) for k, e in zip(ks, left) if e))
+    return len(head), collections.Counter(nets)
+
+
+@pytest.fixture
+def enumeration_calls(monkeypatch):
+    """The heads each `_prefix_survivors` call gets and the net exponents of
+    each side `_expand_side` expands, recorded as `_enumerate` calls them."""
+    calls = {"heads": [], "nets": collections.Counter()}
+    survivors, expand_side = solver._prefix_survivors, solver._expand_side
+
+    def recorded_survivors(heads, tails, limit):
+        calls["heads"].append(len(heads))
+        return survivors(heads, tails, limit)
+
+    def recorded_expand_side(net):
+        calls["nets"][tuple(net.items())] += 1
+        return expand_side(net)
+
+    monkeypatch.setattr(solver, "_prefix_survivors", recorded_survivors)
+    monkeypatch.setattr(solver, "_expand_side", recorded_expand_side)
+    return calls
+
+
+def test_equal_face_counts_mask_half_the_heads_and_visit_the_same_splits(
+    enumeration_calls,
+):
+    # Every size is below 255, so each right side is a quotient and only left
+    # sides are expanded: exactly the representatives of the splits that pass
+    # the mask, as if it had run over every head.
+    for m in [*range(1, 61), 72, 96]:
+        heads, want = masked_splits(*equal(m))
+        for run in (
+            lambda: enumerate_pairs(m),
+            lambda: enumerate_mixed(m, m),
+            lambda: enumerate_unequal(m, m, m),
+        ):
+            enumeration_calls["heads"].clear()
+            enumeration_calls["nets"].clear()
+            run()
+            assert enumeration_calls["heads"] == [(heads + 1) // 2], m
+            assert enumeration_calls["nets"] == want, m
+
+
+@pytest.mark.parametrize("name", ["mixed-4-9", "mixed-5-6", "unequal-12-8x18"])
+def test_unequal_face_counts_mask_every_head(enumeration_calls, name):
+    sizes, face_counts = NET_EXPONENT_PROBLEMS[name]
+    heads, _ = masked_splits(sizes, face_counts)
+    enumeration_calls["heads"].clear()
+    solver._enumerate(sizes, face_counts, None)
+    assert enumeration_calls["heads"] == [heads]
 
 
 def test_prefix_mask_holds_a_coefficient_at_its_bound():
