@@ -8,7 +8,10 @@ results alone; integers print in full, whatever their length.  Exit codes:
 0 success, 1 a check failed, 2 bad usage, 3 a search cap or node budget was
 exceeded, 141 the reader closed stdout before the output was written.  The
 envelope's bytes are those of `json.dumps(envelope, indent=2,
-sort_keys=True)`, written by `_json_text` without that call.  Every die
+sort_keys=True)`, written without that call as one list of pieces
+(`_json_pieces`).  `main` writes the list only once every piece is
+built, so the output is never copied whole and an error prints nothing
+on stdout; a table's lines are written the same way.  Every die
 in the results is a `Die` itself: the pair commands' dice, `decompose`'s
 recipe and `oracle`'s pairs.  The writer writes each from its
 coefficients: one join of a cached table of label texts, each text

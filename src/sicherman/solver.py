@@ -27,9 +27,15 @@ digits, and each head takes one big-integer product per side (Kronecker
 substitution).  The digit width comes from a bound proven by the triangle
 inequality, with a bias that leaves a digit's top bit set exactly when its
 coefficient is nonnegative.  Since -E_1 is the linear coefficient and L is
-at least 1, this rejects every split with E_1 > 0 on either side.  Only
-the splits that pass go on to the complement skip, the full rule for the
-left side and a right-side rule, below.
+at least 1, this rejects every split with E_1 > 0 on either side.  When
+both dice have the same face count, a split and its complement give the
+same unordered pair, and the complement of split (head i, tail j) is split
+(H - 1 - i, T - 1 - j) of the H heads and T tails (`_halves`).  So the
+mask takes only the first half of the heads, and of a middle head only
+the first half of the tails, and each split that passes is visited as
+whichever of it and its complement has the smaller row.  Only the splits
+that pass go on to the full rule for the left side and a right-side rule,
+below.
 
 One rule, `_expand_side`, decides the left side of every split that passes
 the prefix and every side in `certify`, and builds both dice of
@@ -39,9 +45,7 @@ twice PREFILTER_DEGREE, past what the prefix decides, then to twice the
 last limit, until a coefficient is negative (the witness) or half the
 degree is reached.  A limit whose double would reach half the degree is
 replaced by half itself, since the next expansion would repeat nearly all
-of its work.  When both dice have the same face count, a split and
-its complement give the same unordered pair, so only one of the two is
-visited.
+of its work.
 
 The right side of a split whose left side L passes is found by one of two
 rules (`_right_side_rule`), both packing polynomials as digits in a base
@@ -513,7 +517,10 @@ def _halves(
     `left_size`, so the complement of an option is an option of the same
     axis.  It reverses the axis's order (compositions come in descending
     order, free exponents in ascending), and `_combine` keeps that order,
-    so what row j of a half leaves of its full row is row n - 1 - j.
+    so what row j of a half leaves of its full row is row n - 1 - j.  That
+    lets `_prefix_pairs` expand each series once for both sides, and lets
+    `_enumerate` mask only the first half of the heads, since the
+    complement of split (i, j) is split (H - 1 - i, T - 1 - j).
     """
     axes = _candidate_axes(mults, left_size, cap)
     divs = sorted(d for slots, _ in axes for d in slots)
