@@ -11,8 +11,9 @@ polynomials in x^g, and then evaluates each operand at a power of two
 coefficient of the result as a signed digit.  `pack_digits` and
 `unpack_digits` write and read those digits, for the solver's packed
 products too.
-`one_minus_x_product` expands products of (1 - x^k)^e by stride recurrences
-and returns exactly `limit + 1` coefficients as a list, trailing zeros kept.
+`one_minus_x_product` expands products of (1 - x^k)^e as one packed integer
+in Z mod B^(limit + 1), by shifts and adds of its digits, and returns exactly
+`limit + 1` coefficients as a list, trailing zeros kept.
 
 Values are immutable, so every operation is a pure function and instances are
 safe to share across threads.
@@ -22,10 +23,10 @@ from __future__ import annotations
 
 import struct
 import sys
-from itertools import accumulate, compress
-from math import gcd
-from operator import add, index, sub
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import compress
+from math import comb, gcd
+from operator import index
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class PolyError(Exception):
@@ -83,6 +84,10 @@ class IntPoly:
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
         return 0
+
+    def __iter__(self) -> Iterator[int]:
+        # without it, iteration would run on through __getitem__'s zeros
+        return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
@@ -304,6 +309,14 @@ def unpack_digits(value: int, n: int, width: int, signed: bool = False) -> list[
     return digits if sys.byteorder == "little" else digits[::-1]
 
 
+def _digit_width(bound: int) -> int:
+    """The bytes of a digit that holds every integer of absolute value at
+    most bound, with a sign bit: 1, 2, 4 or 8, which one `struct` call packs
+    and one cast reads, else as many as it takes."""
+    width = (bound.bit_length() + 8) // 8
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The len(a) + len(b) - 1 coefficients of the product of a and b, or
     none if either is empty; trailing zeros kept."""
@@ -328,9 +341,7 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     )
     if not bound:
         return [0] * n
-    width = (bound.bit_length() + 8) // 8
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()  # one struct call, one cast
+    width = _digit_width(bound)
     m = len(a) + len(b) - 1
     product = pack_digits(a, width, True) * pack_digits(b, width, True)
     digits = unpack_digits(product, m, width, True)
@@ -345,31 +356,56 @@ def one_minus_x_product(exponents: Mapping[int, int], limit: int) -> list[int]:
     """The coefficients of x^0 .. x^limit of prod((1 - x^k)^e) over {k: e}:
     exactly limit + 1 of them, trailing zeros kept.
 
-    Multiplying by 1 - x^k subtracts a copy shifted by k.  Dividing by it
-    makes out[i] += out[i - k] in increasing i: a running sum along each
-    residue class mod k when there are few classes, else one slice addition
-    per block of k terms.  The result is exact when the product is a
-    polynomial of degree at most `limit`.
+    Evaluating at x = B = 2^(8 * width) maps Z[x] mod x^n, n = limit + 1,
+    onto Z mod B^n as a ring, so the truncated product is computed there as
+    one packed integer.  Multiplying by 1 - x^k subtracts a copy shifted by
+    k digits.  Dividing by it multiplies by 1 + x^(k * 2^i) for each
+    k * 2^i < n, one shifted addition each, since 1/(1 - x^k) is the
+    product of every such factor and the rest are 1 below x^n.  A factor
+    with k >= n is 1 below x^n too.  The result is exact when the product
+    is a polynomial of degree at most `limit`.
+
+    Every step is exact in Z mod B^n, so only the result's coefficients
+    need to fit: its digits are read back as signed, which is exact when
+    every coefficient and a sign bit fit a digit.  Split the product into
+    P, the factors with e > 0, and N, those with e < 0, both truncated.
+    Every coefficient of N is nonnegative: 1/(1 - x^k)^m has
+    C(j + m - 1, m - 1) at x^(jk), so its coefficients up to x^limit sum
+    to C(limit // k + m, m), and those of N sum to at most the product of
+    these.  The coefficients of P have absolute values summing to at most
+    2^(sum of e > 0).  So by the triangle inequality no coefficient of PN
+    exceeds that power of two times the product of binomials in absolute
+    value.  `unpack_digits` reads digits of 1, 2, 4 or 8 bytes by one cast,
+    and wider ones one by one.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     n = limit + 1
-    out = [1] + [0] * limit
+    minus = []  # each k of a factor 1 - x^k
+    plus = []  # each k * 2^i of a factor 1 + x^(k * 2^i)
+    bound = 1
     for k, e in exponents.items():
         if k < 1:
             raise ValueError(f"k must be a positive integer, got {k}")
-        if k >= n:
-            continue  # 1 - x^k is 1 below x^n
-        for _ in range(abs(e)):
-            if e > 0:
-                out[k:] = map(sub, out[k:], out[: n - k])
-            elif k * k <= n:
-                for r in range(k):
-                    out[r::k] = accumulate(out[r::k])
-            else:
-                for j in range(k, n, k):
-                    out[j : j + k] = map(add, out[j : j + k], out[j - k : j])
-    return out
+        if k < n and e > 0:
+            minus += [k] * e
+            bound <<= e
+        elif k < n and e < 0:
+            plus += [k << i for i in range((limit // k).bit_length())] * -e
+            bound *= comb(limit // k - e, -e)
+    width = _digit_width(bound)
+    digit = 8 * width
+    mask = (1 << digit * n) - 1
+    packed = 1
+    for k in minus:
+        packed = (packed - (packed << digit * k)) & mask
+    for k in plus:
+        packed = (packed + (packed << digit * k)) & mask
+    # Signed digits that fit make a value in (-B^n / 2, B^n / 2), so the top
+    # bit is set exactly when the value at x = B is negative.
+    if packed >> (digit * n - 1):
+        packed -= 1 << digit * n
+    return unpack_digits(packed, n, width, True)
 
 
 def _series_inverse(base: IntPoly, limit: int) -> list[int]:

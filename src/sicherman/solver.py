@@ -351,15 +351,6 @@ def _expand_side(
         limit *= 2
 
 
-def _digits(value: int, n: int, width: int) -> Optional[Sequence[int]]:
-    """The n digits of `width` bytes of value, lowest first, as `_pack`
-    packs them, or None if value is negative or needs more than n digits."""
-    try:
-        return unpack_digits(value, n, width)
-    except OverflowError:
-        return None
-
-
 # The widest digit, in bytes, at which `_right_side_rule` takes the right
 # side as a quotient.  The division's cost grows with the square of the
 # packed length, which doubles where the digits go from 2 bytes to 4.  Per
@@ -386,7 +377,7 @@ def _right_side_rule(
     freq = frequency_poly(*sizes).coeffs
     faces = sizes[0] * sizes[1]
     # Digits of `width` bytes hold every value up to `faces`, rounded up to a
-    # width that `_digits` reads by one cast; the size bounds keep `faces`
+    # width that `unpack_digits` reads by one cast; the size bounds keep `faces`
     # below 2^32.
     width = 1 << ((faces.bit_length() + 7) // 8 - 1).bit_length()
     packed_freq = _pack(freq, width)
@@ -397,8 +388,11 @@ def _right_side_rule(
         quotient, remainder = divmod(packed_freq, _pack(left, width))
         if remainder:
             raise NonExactDivision(f"{left} does not divide the frequency poly")
-        right = _digits(quotient, len(freq) - len(left) + 1, width)
-        if right is None or sum(left) * sum(right) != faces:
+        try:
+            right = unpack_digits(quotient, len(freq) - len(left) + 1, width)
+        except OverflowError:
+            return None  # the quotient is negative or has too many digits
+        if sum(left) * sum(right) != faces:
             return None
         return right
 
@@ -474,19 +468,15 @@ def _prefix_survivors(
     tmax = IntPoly(map(max, *[map(abs, s) for t in tails for s in t]))
     bound = max([0, *(hmax * tmax).coeffs, *hmax.coeffs, *tmax.coeffs])
     width = (bound.bit_length() + 8) // 8
-    top = 1 << (8 * width - 1)
-    # Each coefficient is packed plus top, so that no digit is negative, and
-    # the bias is taken off the packed integer.
     pad = [0] * limit
-    bias = _pack([top] * (slot * len(tails)), width)
-    left_tails = _pack([c + top for t in tails for c in [*t[0], *pad]], width) - bias
-    right_tails = _pack([c + top for t in tails for c in [*t[1], *pad]], width) - bias
-    head_bias = _pack([top] * n, width)
+    bias = _pack([1 << (8 * width - 1)] * (slot * len(tails)), width)
+    left_tails = _pack([c for t in tails for c in [*t[0], *pad]], width, True)
+    right_tails = _pack([c for t in tails for c in [*t[1], *pad]], width, True)
     signs = int.from_bytes(b"\x80" * len(tails), "little")
     stride = slot * width
     for left_head, right_head in heads:
-        left = _pack([c + top for c in left_head], width) - head_bias
-        right = _pack([c + top for c in right_head], width) - head_bias
+        left = _pack(left_head, width, True)
+        right = _pack(right_head, width, True)
         passed = (left * left_tails + bias) & (right * right_tails + bias)
         data = passed.to_bytes(stride * len(tails), "little")
         column = signs

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,13 @@ def test_canonical_form():
 def test_getitem_out_of_range():
     p = IntPoly((1, 2))
     assert p[0] == 1 and p[1] == 2 and p[5] == 0 and p[-3] == 0
+
+
+def test_iteration_stops_at_the_degree():
+    p = IntPoly((1, 2))
+    assert list(islice(iter(p), 5)) == [1, 2]
+    assert list(islice(iter(ZERO), 5)) == []
+    assert 0 not in p and 2 in p
 
 
 def test_immutable():
@@ -235,6 +243,19 @@ def test_one_minus_x_product_examples():
     assert one_minus_x_product({1: 1, 2: -1, 3: -1, 6: 1}, 2) == [1, -1, 1]
     # factors beyond the limit are 1 as series
     assert one_minus_x_product({5: 3, 9: -2}, 4) == [1, 0, 0, 0, 0]
+    # The coefficient bound picks digits of 1, 2, 4 and 8 bytes, then 15,
+    # which are read digit by digit: that last product has 92-bit coefficients.
+    for exponents, limit in (
+        ({1: -2, 2: 1}, 4),
+        ({1: -3}, 40),
+        ({1: -5, 2: 3}, 60),
+        ({1: -8, 3: 4}, 64),
+        ({1: -40, 5: 20}, 64),
+    ):
+        factors = [(one_minus_x_pow(k), e) for k, e in exponents.items()]
+        series = one_minus_x_product(exponents, limit)
+        assert IntPoly(series) == truncated_series_product(factors, limit)
+    assert max(map(abs, series)).bit_length() == 92
 
 
 def test_one_minus_x_product_errors():
@@ -329,9 +350,11 @@ def test_truncated_product_agrees_with_full_product(factors, limit):
 
 
 # k and e span the net exponents of the solver's candidates at sizes up to 36,
-# and k reaches past sqrt(limit + 1), where division works block by block.
+# and exponents up to 40 reach digits of more than 8 bytes.
 @given(
-    st.dictionaries(st.integers(1, 36), st.integers(-5, 5), max_size=9),
+    st.dictionaries(
+        st.integers(1, 36), st.integers(-5, 5) | st.integers(-40, 40), max_size=9
+    ),
     st.integers(0, 64),
 )
 def test_one_minus_x_product_matches_series_product(exponents, limit):

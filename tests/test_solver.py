@@ -900,16 +900,18 @@ def test_pack_is_the_sum_of_its_digits(width):
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
 def test_digits_read_back_what_pack_packs(width):
+    # as the quotient rule reads its quotient, which may be negative or too long
     top = (1 << (8 * width)) - 1
     coeffs = [0, 1, top, 7, top - 1]
     value = solver._pack(coeffs, width)
-    assert list(solver._digits(value, 5, width)) == coeffs
-    assert list(solver._digits(value, 6, width)) == [*coeffs, 0]
-    assert solver._digits(value, 4, width) is None
-    assert solver._digits(-1, 5, width) is None
+    assert solver.unpack_digits(value, 5, width) == coeffs
+    assert solver.unpack_digits(value, 6, width) == [*coeffs, 0]
+    for bad, n in ((value, 4), (-1, 5)):  # too many digits, or negative
+        with pytest.raises(OverflowError):
+            solver.unpack_digits(bad, n, width)
     spread = [(top * i) // 299 for i in range(300)]
-    assert list(solver._digits(solver._pack(spread, width), 300, width)) == spread
-    assert list(solver._digits(solver._pack([], width), 0, width)) == []
+    assert solver.unpack_digits(solver._pack(spread, width), 300, width) == spread
+    assert solver.unpack_digits(solver._pack([], width), 0, width) == []
 
 
 def test_quotient_rule_refuses_a_left_side_that_does_not_divide():
