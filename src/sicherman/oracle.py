@@ -5,12 +5,15 @@ assigned value by value, and the running sum-frequency table both forces
 the number of faces carrying each value and prunes dead branches.  The
 table and each die's face counts are packed into one integer apiece, a
 fixed-width digit per value, so placing the faces of a value is a few
-big-integer operations and its test one mask.  The search is one loop over
-a flat stack of branches, each a tuple of its value, face counts and
-tables, so its depth is not bound by Python's recursion limit.  Nothing
-here knows about polynomial factors or imports the solver, so agreement
-with the solver is a meaningful check.  The coprime-sizes sweep, which
-runs the solver, is `solver.conjecture_sweep`.
+big-integer operations and its test one mask.  Those digits are `polyint`'s
+packed-digit format: `pack_digits` writes the target table, `_top_bits`
+the mask of each digit's top bit, and `unpack_digits` reads a found die's
+face counts.  The search is one loop over a flat stack of branches, each
+a tuple of its value, face counts and tables, so its depth is not bound by
+Python's recursion limit.  Nothing here knows about polynomial factors or
+imports the solver or `cyclotomic`, so agreement with the solver is a
+meaningful check.  The coprime-sizes sweep, which runs the solver, is
+`solver.conjecture_sweep`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .dice import Die, sum_histogram
+from .polyint import _top_bits, pack_digits, unpack_digits
 
 
 DEFAULT_MAX_NODES = 2_000_000
@@ -44,16 +48,6 @@ def verify_pair_against_standard(
     return sum_histogram([die1, die2]) == sum_histogram(
         [Die.standard(m), Die.standard(m if m2 is None else m2)]
     )
-
-
-def _die(counts: int, width: int, last: int) -> Die:
-    """The die whose coefficient of x^v, v = 0 .. last, is digit v of
-    `counts`, `width` bytes wide: no label list is built or sorted."""
-    data = counts.to_bytes(width * (last + 1), "little")
-    return Die.from_coeffs([
-        int.from_bytes(data[i : i + width], "little")
-        for i in range(0, len(data), width)
-    ])
 
 
 def brute_force_pairs(
@@ -85,30 +79,34 @@ def brute_force_pairs(
     the search reaches them, which is sorted by labels.
 
     The search state is three integers of little-endian fixed-width
-    digits: conv, the count of placed face pairs with each sum, and pa and
-    pb, each die's face count of each value.  Placing da and db faces of
+    digits, packed and read by `polyint` (`pack_digits`, `unpack_digits`):
+    conv, the count of placed face pairs with each sum, and pa and pb,
+    each die's face count of each value.  Placing da and db faces of
     value v adds (da * pb + db * pa) shifted up v digits, and da * db
     shifted up 2v digits, to conv.  A digit holds m * m2, the count of all
-    face pairs, with a top bit to spare, and the slack table holds
-    top - 1 - want[s] in digit s, where top is that bit.  So adding a trial
-    conv to the slack carries out of no digit, and sets a top bit exactly
-    where a sum passes its target: a trial fits when their sum has no top
-    bit set.  The slack is masked to the sums up to 2v, all that a trial
-    can reach, so each trial costs time in v, not in the size.
+    face pairs, with a top bit to spare, in the fewest bytes that do (not
+    rounded up, since the width sets the cost of every step), and the
+    slack table holds top - 1 - want[s] in digit s, where top is that bit.
+    So adding a trial conv to the slack carries out of no digit, and sets
+    a top bit exactly where a sum passes its target: a trial fits when
+    their sum ANDed with `_top_bits`, every digit's top bit, is 0.  The
+    slack is masked to the sums up to 2v, all that a trial can reach, so
+    each trial costs time in v, not in the size.
 
     A branch is a tuple (v, count_a, count_b, tied, conv, pa, pb) about to
-    place value v, and the search is one loop that pops a branch and
-    enters it.  A branch with both dice full has every sum at or below its
-    target, and both tables sum to m * m2, so its table equals the target;
-    its pair is checked by face enumeration and recorded.  Otherwise the t
-    faces of value v that the table still lacks are tried with the first
-    die taking da of them; a tied branch, where the dice have equal sizes
-    and equal counts of every value below v, tries only da >= t - da.  With
-    t == 0 the one trial places nothing and fits, so it counts one node and
-    is pushed with the branch's tables.  Else the branch adds all its
-    trials to the node count, checks the budget, and builds the table of
-    its smallest da; each next trial moves one face of value v from the
-    second die to the first, which adds pb - pa shifted up v digits and
+    place value v, and the search is one loop that pops a branch and enters
+    it.  A branch with both dice full has every sum at or below its target,
+    and both tables sum to m * m2, so its table equals the target; each die
+    is read from the first v digits of pa or pb, every value below v being
+    placed, and the pair is checked by face enumeration and recorded.
+    Otherwise the t faces of value v that the table still lacks are tried
+    with the first die taking da of them; a tied branch, where the dice have
+    equal sizes and equal counts of every value below v, tries only
+    da >= t - da.  With t == 0 the one trial places nothing and fits, so it
+    counts one node and is pushed with the branch's tables.  Else the branch
+    adds all its trials to the node count, checks the budget, and builds the
+    table of its smallest da; each next trial moves one face of value v from
+    the second die to the first, which adds pb - pa shifted up v digits and
     db - 1 - da shifted up 2v digits, so no trial after the first
     multiplies.  Walking da upward, it pushes each trial that fits, so the
     largest is popped first, and every branch is entered, counted and
@@ -144,13 +142,9 @@ def brute_force_pairs(
     width = ((m * m2).bit_length() + 8) // 8
     bits = 8 * width
     digit = (1 << bits) - 1
-    # Packed from bytes, since a sum of shifted digits takes quadratic time.
-    packed_want = int.from_bytes(
-        b"".join([w.to_bytes(width, "little") for w in want]), "little"
-    )
-    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(want), "little")
-    signs = ones << (bits - 1)
-    slack = signs - ones - packed_want
+    signs = _top_bits(len(want), width)
+    ones = signs >> (bits - 1)
+    slack = signs - ones - pack_digits(want, width)
     nodes = 0
     found: list[tuple[Die, Die]] = []
     # the branches still to enter, the next one on top
@@ -158,7 +152,8 @@ def brute_force_pairs(
     while stack:
         v, count_a, count_b, tied, conv, pa, pb = stack.pop()
         if count_a == m and count_b == m2:
-            pair = (_die(pa, width, last), _die(pb, width, last))
+            # every value below v is placed, so each table has v digits
+            pair = tuple(Die.from_coeffs(unpack_digits(p, v, width)) for p in (pa, pb))
             if not verify_pair_against_standard(pair[0], pair[1], m, m2):
                 raise AssertionError(f"search produced a bad pair {pair}")
             found.append(pair)

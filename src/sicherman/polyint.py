@@ -8,9 +8,13 @@ common stride g of both operands' exponents, so that the towers phi_n(x^k)
 of the identity battery, sparse as they are, multiply as small dense
 polynomials in x^g, and then evaluates each operand at a power of two
 (Kronecker substitution) so that one big-integer product holds every
-coefficient of the result as a signed digit.  `pack_digits` and
-`unpack_digits` write and read those digits, for the solver's packed
-products too.
+coefficient of the result as a signed digit.  That format, fixed-width
+little-endian digits whose top bit marks a sign or an overflow, is written
+by `pack_digits`, read by `unpack_digits`, sized by `_digit_width` and
+masked by `_top_bits`, and by no other code.  They serve `_convolve` and
+`one_minus_x_product` here, the solver's prefix mask (`_prefix_survivors`)
+and right-side rule (`_right_side_rule`), and the oracle's search tables
+(`brute_force_pairs`).
 `one_minus_x_product` expands products of (1 - x^k)^e as one packed integer
 in Z mod B^(limit + 1), by shifts and adds of its digits, and returns exactly
 `limit + 1` coefficients as a list, trailing zeros kept.
@@ -309,11 +313,12 @@ def unpack_digits(value: int, n: int, width: int, signed: bool = False) -> list[
     return digits if sys.byteorder == "little" else digits[::-1]
 
 
-def _digit_width(bound: int) -> int:
-    """The bytes of a digit that holds every integer of absolute value at
-    most bound, with a sign bit: 1, 2, 4 or 8, which one `struct` call packs
-    and one cast reads, else as many as it takes."""
-    width = (bound.bit_length() + 8) // 8
+def _digit_width(bits: int) -> int:
+    """The bytes of a digit of at least `bits` bits: 1, 2, 4 or 8, which one
+    `struct` call packs and one cast reads, else as many as it takes.  A
+    signed digit that holds every integer of absolute value at most bound
+    takes bound.bit_length() + 1 bits."""
+    width = (bits + 7) // 8
     return 1 << (width - 1).bit_length() if width <= 8 else width
 
 
@@ -341,7 +346,7 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     )
     if not bound:
         return [0] * n
-    width = _digit_width(bound)
+    width = _digit_width(bound.bit_length() + 1)
     m = len(a) + len(b) - 1
     product = pack_digits(a, width, True) * pack_digits(b, width, True)
     digits = unpack_digits(product, m, width, True)
@@ -393,7 +398,7 @@ def one_minus_x_product(exponents: Mapping[int, int], limit: int) -> list[int]:
         elif k < n and e < 0:
             plus += [k << i for i in range((limit // k).bit_length())] * -e
             bound *= comb(limit // k - e, -e)
-    width = _digit_width(bound)
+    width = _digit_width(bound.bit_length() + 1)
     digit = 8 * width
     mask = (1 << digit * n) - 1
     packed = 1

@@ -101,6 +101,8 @@ from .polyint import (
     first_negative,
     one_minus_x_pow,
     one_minus_x_product,
+    _digit_width,
+    _top_bits,
     pack_digits as _pack,
     truncated_series_product,
     unpack_digits,
@@ -250,6 +252,15 @@ def _capped_compositions(total: int, caps: Sequence[int]) -> list[tuple[int, ...
     return out
 
 
+def _composition_count(total: int, caps: Sequence[int]) -> int:
+    """len(_capped_compositions(total, caps)), counted without building one."""
+    ways = [1] + [0] * total  # ways[t]: compositions of t over the caps so far
+    for cap in caps:
+        for t in range(total, 0, -1):  # downward, so ways[:t] are still the last
+            ways[t] = sum(ways[max(0, t - cap) : t + 1])
+    return ways[total]
+
+
 def _candidate_axes(
     mults: dict[int, int], left_size: int, search_cap: int
 ) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
@@ -259,7 +270,9 @@ def _candidate_axes(
     divisors p^j with exponent c, so for each prime the slot exponents must
     sum to the multiplicity of p in left_size.  Exponents of composite
     divisors are free up to their multiplicity in the problem.  Each axis is
-    (divisors, options), and a split takes one option from every axis.
+    (divisors, options), and a split takes one option from every axis.  The
+    splits are counted, and checked against `search_cap`, before any option
+    is built.
     """
     prime_slots: dict[int, list[int]] = {}
     free: list[int] = []
@@ -271,21 +284,19 @@ def _candidate_axes(
             free.append(d)
 
     left_factors = prime_factors(left_size)
-    axes: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
-    n_candidates = 1
-    for p, slots in sorted(prime_slots.items()):
-        target = left_factors.get(p, 0)
-        comps = _capped_compositions(target, [mults[d] for d in slots])
-        axes.append((tuple(slots), comps))
-        n_candidates *= len(comps)
-    for d in free:
-        axes.append(((d,), [(c,) for c in range(mults[d] + 1)]))
-        n_candidates *= mults[d] + 1
+    primes = [
+        (tuple(slots), left_factors.get(p, 0), [mults[d] for d in slots])
+        for p, slots in sorted(prime_slots.items())
+    ]
+    n_candidates = prod(mults[d] + 1 for d in free) * prod(
+        _composition_count(target, caps) for _, target, caps in primes
+    )
     if n_candidates > search_cap:
         raise SearchCapExceeded(
             f"{n_candidates} candidate vectors exceed the cap of {search_cap}"
         )
-    return axes
+    axes = [(slots, _capped_compositions(t, caps)) for slots, t, caps in primes]
+    return axes + [((d,), [(c,) for c in range(mults[d] + 1)]) for d in free]
 
 
 def _vector_poly(vector: ExponentVector) -> IntPoly:
@@ -376,10 +387,9 @@ def _right_side_rule(
     """
     freq = frequency_poly(*sizes).coeffs
     faces = sizes[0] * sizes[1]
-    # Digits of `width` bytes hold every value up to `faces`, rounded up to a
-    # width that `unpack_digits` reads by one cast; the size bounds keep `faces`
-    # below 2^32.
-    width = 1 << ((faces.bit_length() + 7) // 8 - 1).bit_length()
+    # Unsigned digits of `width` bytes hold every value up to `faces`; the
+    # size bounds keep `faces` below 2^32, so one cast reads them.
+    width = _digit_width(faces.bit_length())
     packed_freq = _pack(freq, width)
 
     def by_quotient(
@@ -449,8 +459,8 @@ def _prefix_survivors(
 
     The tails' series are packed once, each as one slot of 2 * limit + 1
     digits, which hold a whole product, and a head then needs one product
-    per side.  A bias of half the digit base makes a digit's top bit the
-    sign of its coefficient.  The two products are ANDed, the top bytes of
+    per side.  A bias of half the digit base, each digit's top bit
+    (`_top_bits`), makes a digit's top bit the sign of its coefficient.  The two products are ANDed, the top bytes of
     each slot's first limit + 1 digits are read as byte columns, one byte
     per tail, and the columns are ANDed, so bit 7 of a tail's byte is set
     exactly when both of its products pass.
@@ -469,10 +479,10 @@ def _prefix_survivors(
     bound = max([0, *(hmax * tmax).coeffs, *hmax.coeffs, *tmax.coeffs])
     width = (bound.bit_length() + 8) // 8
     pad = [0] * limit
-    bias = _pack([1 << (8 * width - 1)] * (slot * len(tails)), width)
+    bias = _top_bits(slot * len(tails), width)
     left_tails = _pack([c for t in tails for c in [*t[0], *pad]], width, True)
     right_tails = _pack([c for t in tails for c in [*t[1], *pad]], width, True)
-    signs = int.from_bytes(b"\x80" * len(tails), "little")
+    signs = _top_bits(len(tails), 1)
     stride = slot * width
     for left_head, right_head in heads:
         left = _pack(left_head, width, True)

@@ -1,6 +1,7 @@
 """Brute-force search, and the sweep that probes the coprime-sizes guess."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,23 @@ def test_oracle_imports_nothing_from_the_solver():
             modules += [node.module or "", *(a.name for a in node.names)]
     assert "dice" in modules
     assert not [name for name in modules if "solver" in name.split(".")]
+
+
+def test_oracle_binds_nothing_from_the_solver_or_cyclotomic():
+    # its tables are packed by polyint, which the solver builds on too, but no
+    # name it holds may come from the code it referees
+    def origin(value):
+        if isinstance(value, types.ModuleType):
+            return value.__name__
+        return getattr(value, "__module__", None)
+
+    origins = {name: origin(value) for name, value in vars(oracle).items()}
+    assert origins["pack_digits"] == "sicherman.polyint"
+    assert not [
+        name
+        for name, module in origins.items()
+        if module in ("sicherman.solver", "sicherman.cyclotomic")
+    ]
 
 
 def test_sweep_covers_coprime_pairs_only():

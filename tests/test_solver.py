@@ -246,6 +246,35 @@ def test_solve_180_is_pinned():
     )
 
 
+def test_solve_1254_is_pinned():
+    # 1254 = 2 * 3 * 11 * 19 takes 4-byte digits, so every right side is
+    # expanded (`by_expansion`), which no benchmark size reaches
+    pairs = enumerate_pairs(1254)
+    assert len(pairs) == 280
+    text = repr([(p.labels, p.left.vector, p.right.vector) for p in pairs])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "405f0938a7f89f384cdc6005c07afe0da689041cb6a6dfb830dac21b90d84de0"
+    )
+
+
+def test_search_cap_is_checked_before_any_split_is_built(monkeypatch):
+    # 2^15 has 15 prime-power slots of multiplicity 2, whose 1787607
+    # compositions of 15 took seconds and hundreds of MB to build
+    built = solver._capped_compositions
+    calls = []
+    monkeypatch.setattr(
+        solver, "_capped_compositions", lambda *args: calls.append(args) or built(*args)
+    )
+    with pytest.raises(SearchCapExceeded, match="^1787607 candidate vectors"):
+        enumerate_pairs(2**15, search_cap=10)
+    assert calls == []
+    for total in range(7):
+        for caps in itertools.product(range(4), repeat=3):
+            assert solver._composition_count(total, caps) == len(built(total, caps))
+    assert solver._composition_count(0, ()) == 1
+    assert solver._composition_count(1, ()) == 0
+
+
 def test_search_cap_must_be_positive():
     for cap in (0, -1):
         for call in (
@@ -898,9 +927,10 @@ def test_pack_is_the_sum_of_its_digits(width):
         )
 
 
-@pytest.mark.parametrize("width", [1, 2, 4, 8])
+@pytest.mark.parametrize("width", range(1, 10))
 def test_digits_read_back_what_pack_packs(width):
-    # as the quotient rule reads its quotient, which may be negative or too long
+    # as the quotient rule reads its quotient, which may be negative or too
+    # long, and as the oracle reads its dice, at widths of 3 bytes and more
     top = (1 << (8 * width)) - 1
     coeffs = [0, 1, top, 7, top - 1]
     value = solver._pack(coeffs, width)
