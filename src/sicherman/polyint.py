@@ -10,11 +10,14 @@ polynomials in x^g, and then evaluates each operand at a power of two
 (Kronecker substitution) so that one big-integer product holds every
 coefficient of the result as a signed digit.  That format, fixed-width
 little-endian digits whose top bit marks a sign or an overflow, is written
-by `pack_digits`, read by `unpack_digits`, sized by `_digit_width` and
-masked by `_top_bits`, and by no other code.  They serve `_convolve` and
+by `pack_digits`, read by `unpack_digits` and masked by `_top_bits`, and
+by no other code; `_digit_width` gives the width of 1, 2, 4 or 8 bytes
+that one `struct` call packs, or more.  They serve `_convolve` and
 `one_minus_x_product` here, the solver's prefix mask (`_prefix_survivors`)
 and right-side rule (`_right_side_rule`), and the oracle's search tables
-(`brute_force_pairs`).
+(`brute_force_pairs`).  The mask and the oracle take the fewest bytes that
+hold their digits, unrounded, since that width sets the cost of every
+product or search step.
 `one_minus_x_product` expands products of (1 - x^k)^e as one packed integer
 in Z mod B^(limit + 1), by shifts and adds of its digits, and returns exactly
 `limit + 1` coefficients as a list, trailing zeros kept.

@@ -98,11 +98,11 @@ from .polyint import (
     ONE,
     IntPoly,
     NonExactDivision,
+    _digit_width,
+    _top_bits,
     first_negative,
     one_minus_x_pow,
     one_minus_x_product,
-    _digit_width,
-    _top_bits,
     pack_digits as _pack,
     truncated_series_product,
     unpack_digits,
@@ -460,10 +460,11 @@ def _prefix_survivors(
     The tails' series are packed once, each as one slot of 2 * limit + 1
     digits, which hold a whole product, and a head then needs one product
     per side.  A bias of half the digit base, each digit's top bit
-    (`_top_bits`), makes a digit's top bit the sign of its coefficient.  The two products are ANDed, the top bytes of
-    each slot's first limit + 1 digits are read as byte columns, one byte
-    per tail, and the columns are ANDed, so bit 7 of a tail's byte is set
-    exactly when both of its products pass.
+    (`_top_bits`), makes a digit's top bit the sign of its coefficient.
+    The two products are ANDed, the top bytes of each slot's first
+    limit + 1 digits are read as byte columns, one byte per tail, and the
+    columns are ANDed, so bit 7 of a tail's byte is set exactly when both
+    of its products pass.
     """
     if not heads or not tails:
         return
