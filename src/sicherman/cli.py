@@ -13,11 +13,12 @@ sort_keys=True)`, written without that call as one list of pieces
 built, so the output is never copied whole and an error prints nothing
 on stdout; a table's lines are written the same way.  Every die
 in the results is a `Die` itself: the pair commands' dice, `decompose`'s
-recipe and `oracle`'s pairs.  The writer writes each from its
-coefficients: one join of a cached table of label texts, each text
-repeated as often as its label, so no label tuple is built.  A plain list
-of ints is one join of their `str`.  The tables read the labels.  The pair commands keep each `ExponentVector`
-too, which the writer writes by filling one cached template per problem.
+recipe and `oracle`'s pairs.  One function, `_labels_text`, writes every
+die's labels, in the tables and in JSON alike, from its coefficients:
+one join of a cached table of label texts, each text repeated as often
+as its label, so no label tuple is built.  The pair commands keep each
+`ExponentVector` too, which the writer writes by filling one cached
+template per problem.
 
 The argparse parser is built once per process, on the first call to
 `main`, and reused: building it costs more than most small commands, and
@@ -107,7 +108,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 def _pair_results(pairs: Sequence[SolutionPair]) -> dict:
     """The pairs' dice, their vectors and the counts.  Each die and each
-    vector is kept as itself: `_json_text` writes a `Die` from its
+    vector is kept as itself: `_json_pieces` writes a `Die` from its
     coefficients, and an `ExponentVector` as the dict of its entries with
     `str` keys."""
     dice = {side.die.coeffs for p in pairs for side in (p.left, p.right)}
@@ -195,10 +196,7 @@ def cmd_identities(args) -> tuple[dict, dict, int]:
 
 def cmd_oracle(args) -> tuple[dict, dict, int]:
     pairs = brute_force_pairs(args.sides, max_nodes=args.max_nodes)
-    results = {
-        "pairs": [list(pair) for pair in pairs],
-        "pair_count": len(pairs),
-    }
+    results = {"pairs": pairs, "pair_count": len(pairs)}
     return {"sides": args.sides, "max_nodes": args.max_nodes}, results, EXIT_OK
 
 
@@ -223,8 +221,24 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
 # -- tables: each renders (parameters, results) as lines ----------------------
 
 
-def _labels_text(labels: Sequence[int]) -> str:
-    return ",".join(map(str, labels))
+@cache
+def _label_texts(size: int, prefix: str) -> tuple[str, ...]:
+    """`prefix + str(j) + ","` for j in 0 .. size - 1, built once per size
+    and prefix: the text of one label j of a die.  A table is never changed
+    once built, so no caller sees one half made."""
+    return tuple([f"{prefix}{j}," for j in range(size)])
+
+
+def _labels_text(die: Die, prefix: str = "") -> str:
+    """The die's labels in ascending order, each after `prefix`, separated
+    by commas, written from its coefficients, so no label tuple is built:
+    label j, repeated coefficient-of-x^j times, is the text `_label_texts`
+    holds at j, and the whole is one join of those texts times the
+    coefficients, the last text's comma dropped.  The tables call it with
+    no prefix; the JSON writer with a line break and indent."""
+    coeffs = die.coeffs
+    texts = _label_texts(1 << (len(coeffs) - 1).bit_length(), prefix)
+    return "".join(map(mul, texts, coeffs))[:-1]
 
 
 def render_pairs(title: str, parameters: dict, results: dict) -> list[str]:
@@ -235,7 +249,7 @@ def render_pairs(title: str, parameters: dict, results: dict) -> list[str]:
     ]
     for i, ((a, b), vectors) in enumerate(zip(results["pairs"], results["vectors"]), 1):
         left, right = (" ".join(f"{d}:{c}" for d, c in v.entries) for v in vectors)
-        lines.append(f"pair {i}: {_labels_text(a.labels)} | {_labels_text(b.labels)}")
+        lines.append(f"pair {i}: {_labels_text(a)} | {_labels_text(b)}")
         lines.append(f"        [{left}] | [{right}]")
     return lines
 
@@ -243,7 +257,7 @@ def render_pairs(title: str, parameters: dict, results: dict) -> list[str]:
 def render_decompose(parameters: dict, results: dict) -> list[str]:
     return [
         *render_pairs("m={sides} split a={split}", parameters, results),
-        f"recipe: {_labels_text(results['recipe'].labels)}",
+        f"recipe: {_labels_text(results['recipe'])}",
         f"recipe matches expansion: {'yes' if results['recipe_matches'] else 'NO'}",
     ]
 
@@ -270,12 +284,12 @@ def render_identities(parameters: dict, results: dict) -> list[str]:
 def render_oracle(parameters: dict, results: dict) -> list[str]:
     lines = [f"m={parameters['sides']}: {results['pair_count']} pairs (brute force)"]
     for i, (a, b) in enumerate(results["pairs"], 1):
-        lines.append(f"pair {i}: {_labels_text(a.labels)} | {_labels_text(b.labels)}")
+        lines.append(f"pair {i}: {_labels_text(a)} | {_labels_text(b)}")
     return lines
 
 
 def render_certify(parameters: dict, results: dict) -> list[str]:
-    lines = [f"case {results['case']}, primes {_labels_text(results['primes'])}:"]
+    lines = [f"case {results['case']}, primes {','.join(map(str, results['primes']))}:"]
     for c in results["certificates"]:
         vector, power, coefficient = tuple(c["vector"]), c["power"], c["coefficient"]
         lines.append(f"vector {vector}: coefficient {coefficient} at x^{power}")
@@ -375,19 +389,6 @@ def _any_length_integers():
         sys.set_int_max_str_digits(limit)
 
 
-# A die whose labels are all below TEXT_TABLE_LIMIT is written from a cached
-# table of label texts in place of calling `str` on each label.
-TEXT_TABLE_LIMIT = 1 << 16
-
-
-@cache
-def _label_texts(size: int, pad: str) -> tuple[str, ...]:
-    """`pad + str(j) + ","` for j in 0 .. size - 1, built once per size and
-    nesting: the text of one label j of a die's JSON list.  A table is never
-    changed once built, so no caller sees one half made."""
-    return tuple([f"{pad}{j}," for j in range(size)])
-
-
 @lru_cache(maxsize=64)
 def _vector_template(divisors: tuple[int, ...], pad: str) -> tuple[str, itemgetter]:
     """The JSON text of an exponent vector over `divisors`, at the nesting
@@ -405,72 +406,48 @@ def _vector_template(divisors: tuple[int, ...], pad: str) -> tuple[str, itemgett
 def _json_pieces(obj, out: list[str], pad: str = "\n") -> None:
     """Append to `out` the pieces of `obj` as `json.dumps(obj, indent=2,
     sort_keys=True)` writes it, at the nesting whose line break and indent
-    are `pad`.  A dict, or a list or tuple that holds more than ints, is
-    written piece by piece: each opening or separator with the key that
-    follows it, each item's own pieces, and the closing.  Anything else is
-    one piece, `_json_text`.  So no text holds more than one leaf, and the
-    output is never copied whole."""
-    if isinstance(obj, dict) and obj:
-        opening, closing = "{}"
-        items = ((f"{encode_basestring_ascii(k)}: ", v) for k, v in sorted(obj.items()))
-    elif (
-        isinstance(obj, (list, tuple))
-        and type(obj) is not ExponentVector
-        and obj
-        and set(map(type, obj)) != {int}
-    ):
-        opening, closing = "[]"
-        items = zip(repeat(""), obj)
-    else:
-        out.append(_json_text(obj, pad))
-        return
-    inner = pad + "  "
-    separator = opening + inner
-    for key, value in items:
-        out.append(separator + key)
-        _json_pieces(value, out, inner)
-        separator = "," + inner
-    out.append(pad + closing)
+    are `pad`.  That call runs the pure-Python encoder; here
 
+    - an int is its `str` (a bool is not exactly an int, so it is not
+      written as one);
+    - a `Die` is the list of its labels, written by `_labels_text`;
+    - an `ExponentVector` is the dict of its entries with `str` keys,
+      written by filling `_vector_template` with its exponents;
+    - a non-empty dict, list or tuple is written piece by piece: each
+      opening or separator with the key that follows it, each item's own
+      pieces, and the closing;
+    - anything else is `json.dumps(obj)`.
 
-def _json_text(obj, pad: str = "\n") -> str:
-    """The text of one piece of `_json_pieces`: `obj` as `json.dumps(obj,
-    indent=2, sort_keys=True)` writes it, at the nesting whose line break
-    and indent are `pad`.  That call runs the pure-Python encoder; here an
-    int is its `str`, and a list of ints one join of their `str`: the long
-    int lists, dice labels, come as `Die`s and are written from their
-    coefficients, below.  A bool is not exactly an int, so it is not
-    written as one.
-
-    A `Die` is written as `json.dumps` writes the list of its labels, but
-    from its coefficients, so no label tuple is built: label j, repeated
-    coefficient-of-x^j times, is the text `_label_texts` holds at j, and the
-    whole list is one join of those texts times the coefficients.  A die
-    with a label at or above TEXT_TABLE_LIMIT is written from its labels.
-
-    An `ExponentVector` is written as `json.dumps` writes the dict of its
-    entries with `str` keys, by filling `_vector_template` with its
-    exponents."""
+    So no piece holds more than one leaf, and the output is never copied
+    whole."""
     if type(obj) is int:
-        return str(obj)
-    if type(obj) is ExponentVector:
-        if not obj.entries:
-            return "{}"
-        divisors, exponents = zip(*obj.entries)
-        template, in_key_order = _vector_template(divisors, pad)
-        # itemgetter of one index returns the exponent itself, not a tuple
-        return template % in_key_order(exponents)
-    if type(obj) is Die:
-        coeffs = obj.coeffs
-        if len(coeffs) > TEXT_TABLE_LIMIT:
-            return _json_text(list(obj.labels), pad)
-        texts = _label_texts(1 << (len(coeffs) - 1).bit_length(), pad + "  ")
-        # the last text's comma is dropped
-        return f"[{''.join(map(mul, texts, coeffs))[:-1]}{pad}]"
-    if isinstance(obj, (list, tuple)) and obj:  # only ints, as `_json_pieces` calls it
+        out.append(str(obj))
+    elif type(obj) is Die:
+        out.append(f"[{_labels_text(obj, pad + '  ')}{pad}]")
+    elif type(obj) is ExponentVector:
+        if obj.entries:
+            divisors, exponents = zip(*obj.entries)
+            template, in_key_order = _vector_template(divisors, pad)
+            # itemgetter of one index returns the exponent itself, not a tuple
+            out.append(template % in_key_order(exponents))
+        else:
+            out.append("{}")
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        if isinstance(obj, dict):
+            opening, closing = "{}"
+            items = ((f"{encode_basestring_ascii(k)}: ", v) for k, v in sorted(obj.items()))
+        else:
+            opening, closing = "[]"
+            items = zip(repeat(""), obj)
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join(map(str, obj)) + pad + "]"
-    return json.dumps(obj)
+        separator = opening + inner
+        for key, value in items:
+            out.append(separator + key)
+            _json_pieces(value, out, inner)
+            separator = "," + inner
+        out.append(pad + closing)
+    else:
+        out.append(json.dumps(obj))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -194,9 +194,11 @@ def check_identity_suite(bound: int) -> IdentityReport:
     identities, each a name and its cases in order, a case being whether
     it holds and a detail naming its parameters; each check counts its
     cases and keeps the first failing detail.  The two product identities
-    at the end use fixed prime ranges (up to 13 with tower exponent up to
-    3, and up to 11) independent of `bound`, since their cost is driven by
-    prime size rather than the main sweep.
+    at the end take the primes up to min(bound, 13), with tower exponent up
+    to 3, and up to min(bound, 11): their cost is driven by prime size
+    rather than the main sweep, so a larger `bound` adds no case, while a
+    smaller one drops cases.  At `bound` 2 both have no case, since the
+    one needs two distinct primes and the other three.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sicherman.cli import (
-    TEXT_TABLE_LIMIT,
     _any_length_integers,
     _json_pieces,
+    _labels_text,
     build_parser,
     main,
 )
@@ -91,6 +91,10 @@ TABLE_GOLDENS = [
      "6cc968a1296e6ac02907af4d94f4142a6ec73c5513007dd812d39d759bc790bd"),
     (["certify", "--case", "pqr", "--primes", "2,3,5"], 0,
      "71fad7dc25af45f667ce7ba55b06641dea1cdbfa905a7a6857bf1899fae27f47"),
+    # labels up to 70,000, above 2^16, recorded while the tables still
+    # wrote each die from its label tuple
+    (["decompose", "--sides", "70000", "--split", "70000"], 0,
+     "912be6d98fe362a00e6e5b039fed1f311e62c517cc23687095e7309fedcd1cb8"),
 ]
 
 
@@ -448,7 +452,7 @@ table_ints = (
     | st.booleans()
 )
 # dice with labels near the bounds of the label texts' power-of-two tables,
-# some above TEXT_TABLE_LIMIT, each made from labels or from coefficients
+# some at 2^16 and above, each made from labels or from coefficients
 die_labels = st.lists(
     st.integers(1, 300) | st.sampled_from([255, 256, (1 << 16) - 1, 1 << 16, 70_000]),
     min_size=1,
@@ -531,21 +535,27 @@ def test_json_writer_matches_json_dumps_on_short_lists_and_dicts(value):
         (1, 2, 2, 3, 3, 4),
         (1, 3, 4, 5, 6, 8),
         (2, 2, 7, 7, 7, 300),
-        (1, TEXT_TABLE_LIMIT - 1),  # the top label of the largest table
-        (1, 70_000),  # above every table: written from its labels
+        (1, (1 << 16) - 1),  # the top label of a 2^16-entry table
+        (1, 70_000),  # a label above 2^16, in a 2^17-entry table
     ],
 )
 def test_json_writer_writes_a_die_as_its_label_list(labels):
     for die in (Die(labels), poly_to_die(die_to_poly(Die(labels)))):
+        assert _labels_text(die) == ",".join(map(str, labels))
         for value in (die, [die, die], {"results": {"pairs": [[die, Die((1,))]]}}):
             want = json.dumps(value, indent=2, sort_keys=True, default=labels_list)
             assert json_text(value) == want
 
 
-def test_solve_json_builds_no_label_tuple(capsys, label_builds):
-    # the solver's dice hold coefficients, and the writer writes from them
-    code, out, _ = run(capsys, "solve", "--sides", "96", "--format", "json")
-    assert code == 0 and json.loads(out)["results"]["pair_count"] == 583
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_solve_builds_no_label_tuple(capsys, label_builds, output):
+    # the solver's dice hold coefficients, and both formats write from them
+    code, out, _ = run(capsys, "solve", "--sides", "96", "--format", output)
+    assert code == 0
+    if output == "table":
+        assert out.startswith("m=96: 583 pairs, ")
+    else:
+        assert json.loads(out)["results"]["pair_count"] == 583
     assert label_builds == []
     # the hook sees a build, so the count above can fail
     poly_to_die(die_to_poly(Die((1, 2, 2, 3)))).labels
@@ -567,16 +577,22 @@ def test_json_writer_reuses_its_text_tables():
             assert json_text(value) == want
 
 
-def test_decompose_json_builds_no_label_tuple(capsys, label_builds):
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_decompose_builds_no_label_tuple(capsys, label_builds, output):
     # the expansion's die and the closed-form recipe both hold coefficients,
     # so they compare, count and are written without their labels
     code, out, _ = run(
-        capsys, "decompose", "--sides", "111", "--split", "1", "--format", "json"
+        capsys, "decompose", "--sides", "111", "--split", "1", "--format", output
     )
-    results = json.loads(out)["results"]
-    assert code == 0 and results["recipe_matches"] is True
-    assert results["recipe"] == results["pairs"][0][1]
-    assert len(results["recipe"]) == 111 * 111
+    if output == "json":
+        results = json.loads(out)["results"]
+        assert results["recipe_matches"] is True
+        recipe, expanded = results["recipe"], results["pairs"][0][1]
+    else:
+        assert out.endswith("recipe matches expansion: yes\n")
+        recipe = out.split("recipe: ")[1].split("\n")[0].split(",")
+        expanded = out.split(" | ")[1].split("\n")[0].split(",")
+    assert code == 0 and recipe == expanded and len(recipe) == 111 * 111
     assert label_builds == []
 
 
