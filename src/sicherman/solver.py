@@ -20,11 +20,13 @@ The choices that make up a split fall into two halves, heads and tails.  A
 split's left net exponents are a head's plus a tail's, and its right ones
 are what the head leaves of its half's whole multiplicities plus what the
 tail leaves of its half's, so each side's body is the product of a head
-series and a tail series.  Up to x^L, where L is PREFILTER_DEGREE or less
-for small dice, every split is decided at once (`_prefix_survivors`): each
-tail's two series are expanded once and packed as one slot of 2L + 1
-digits, and each head takes one big-integer product per side (Kronecker
-substitution).  The digit width comes from a bound proven by the triangle
+series and a tail series.  Each head's and each tail's two series are
+expanded once (`_prefix_pairs`): the left one as far as any split's first
+expansion step needs, below, and the right one as far as the mask reads.
+Up to x^L, where L is PREFILTER_DEGREE or less for small dice, every split
+is decided at once (`_prefix_survivors`): each tail's two series are read
+to x^L and packed as one slot of 2L + 1 digits, and each head takes one
+big-integer product per side (Kronecker substitution).  The digit width comes from a bound proven by the triangle
 inequality, with a bias that leaves a digit's top bit set exactly when its
 coefficient is nonnegative.  Since -E_1 is the linear coefficient and L is
 at least 1, this rejects every split with E_1 > 0 on either side.  When
@@ -45,7 +47,11 @@ twice PREFILTER_DEGREE, past what the prefix decides, then to twice the
 last limit, until a coefficient is negative (the witness) or half the
 degree is reached.  A limit whose double would reach half the degree is
 replaced by half itself, since the next expansion would repeat nearly all
-of its work.
+of its work.  For a split's left side the first step costs no expansion:
+its body is the product of a head's left series and a tail's, so its
+coefficients up to the first limit are one packed product of the two, read
+back as signed digits (`_first_step_rule`), and only a side that passes a
+first limit below half its degree is expanded further.
 
 The right side of a split whose left side L passes is found by one of two
 rules (`_right_side_rule`), both packing polynomials as digits in a base
@@ -87,9 +93,10 @@ prefix of the other's.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress
 from math import gcd, prod
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cyclotomic import cyclotomic, divisors, is_prime, mobius_exponents, prime_factors
@@ -98,6 +105,7 @@ from .polyint import (
     ONE,
     IntPoly,
     NonExactDivision,
+    _convolve,
     _digit_width,
     _top_bits,
     first_negative,
@@ -334,6 +342,7 @@ def _combine(axes: Sequence[Rows], width: int) -> Rows:
 
 def _expand_side(
     net: Mapping[int, int],
+    first: Optional[Callable[[int], Sequence[int]]] = None,
 ) -> tuple[Optional[list[int]], Optional[tuple[int, int]]]:
     """(coefficients of x * prod((1 - x^k)^E_k), None) for one side's net
     exponents {k: E_k}, or (None, (power, coefficient)) at the body's first
@@ -342,24 +351,28 @@ def _expand_side(
     The body is expanded up to x^(2 * PREFILTER_DEGREE), then to twice the
     last limit, but a limit whose double would reach half the body's degree
     is replaced by half the degree itself, so no side is expanded to a limit
-    that the next step would expand again almost whole.  A truncated
-    expansion is exactly the low end of the full one, so the witness is the
-    first negative coefficient whatever the limits, and the first negative
-    coefficient of a palindromic body lies at or below half its degree.
-    The upper half of a nonnegative side mirrors the lower.
+    that the next step would expand again almost whole.  Each step's
+    coefficients come from `one_minus_x_product`, except that `first(limit)`,
+    when given, supplies the first step's: the body's x^0 .. x^limit, which
+    `_enumerate` takes as one product of a head series and a tail series.
+    A truncated expansion is exactly the low end of the full one, so the
+    witness is the first negative coefficient whatever the limits, and the
+    first negative coefficient of a palindromic body lies at or below half
+    its degree.  The upper half of a nonnegative side mirrors the lower.
     """
-    degree = sum(k * e for k, e in net.items())
+    degree = sum(map(mul, net, net.values()))
     half = degree // 2
-    limit = 2 * PREFILTER_DEGREE
+    limit = PREFILTER_DEGREE
     while True:
-        if 2 * limit >= half:
-            limit = half
-        lower = one_minus_x_product(net, limit)
+        limit = half if 4 * limit >= half else 2 * limit
+        if first is None:
+            lower = one_minus_x_product(net, limit)
+        else:
+            lower, first = first(limit), None
         if min(lower) < 0:
             return None, first_negative(lower)
         if limit == half:
             return [0, *lower, *lower[: degree - half][::-1]], None
-        limit *= 2
 
 
 # The widest digit, in bytes, at which `_right_side_rule` takes the right
@@ -433,19 +446,41 @@ def _prefix_limit(face_counts: Sequence[int]) -> int:
 
 
 def _prefix_pairs(
-    ks: Sequence[int], rows: Rows, full: Sequence[int], limit: int, symmetric: bool
+    ks: Sequence[int],
+    rows: Rows,
+    full: Sequence[int],
+    limit: int,
+    symmetric: bool,
+    reach: int,
 ) -> list[tuple[list[int], list[int]]]:
-    """The (left, right) prefix series of each row: of its net exponents and
-    of what it leaves of `full`.  With equal face counts, what row j leaves
-    is row n - 1 - j of the n rows (see `_halves`), so each series is
-    expanded once and serves both."""
-    left = [one_minus_x_product(dict(zip(ks, row)), limit) for row in rows]
+    """The (left, right) series of each row: of its net exponents to x^reach
+    and of what it leaves of `full` to x^limit, reach >= limit.  With equal
+    face counts, what row j leaves is row n - 1 - j of the n rows (see
+    `_halves`), so each series is expanded once and serves both."""
+    left = [one_minus_x_product(dict(zip(ks, row)), reach) for row in rows]
     if symmetric:
         right = left[::-1]
     else:
         leaves = (map(sub, full, row) for row in rows)
         right = [one_minus_x_product(dict(zip(ks, net)), limit) for net in leaves]
     return list(zip(left, right))
+
+
+def _product_bound(
+    heads: Sequence[Sequence[int]], tails: Sequence[Sequence[int]], terms: int
+) -> int:
+    """A bound on the absolute value of every coefficient of every head and
+    tail series, and of x^0 .. x^(terms - 1) of every product of a head
+    series by a tail series; every series lists the same number of
+    coefficients.
+
+    By the triangle inequality |[x^i] h t| <= sum over j of |h_j| |t_(i-j)|
+    <= sum over j of hmax_j tmax_(i-j), where hmax_j (tmax_j) is the largest
+    |coefficient of x^j| over every head (tail) series.
+    """
+    hmax = [*map(max, zip(*[map(abs, s) for s in heads]))]
+    tmax = [*map(max, zip(*[map(abs, s) for s in tails]))]
+    return max([0, *_convolve(hmax, tmax)[:terms], *hmax, *tmax])
 
 
 def _prefix_survivors(
@@ -455,7 +490,8 @@ def _prefix_survivors(
 ) -> Iterator[list[int]]:
     """For each head, the indices of the tails whose products with it, left
     series by left and right by right, have no negative coefficient of x^0
-    .. x^limit.  Every series lists exactly those limit + 1 coefficients.
+    .. x^limit.  Every series lists at least those limit + 1 coefficients,
+    and only they are read.
 
     The tails' series are packed once, each as one slot of 2 * limit + 1
     digits, which hold a whole product, and a head then needs one product
@@ -469,15 +505,14 @@ def _prefix_survivors(
     if not heads or not tails:
         return
     n = limit + 1
+    heads = [(left[:n], right[:n]) for left, right in heads]
+    tails = [(left[:n], right[:n]) for left, right in tails]
     slot = 2 * limit + 1
-    # By the triangle inequality |[x^i] h t| <= sum over j of |h_j| |t_(i-j)|
-    # <= sum over j of hmax_j tmax_(i-j), where hmax_j (tmax_j) is the largest
-    # |coefficient of x^j| over every head (tail) series.  Digits of `width`
-    # bytes hold that bound, every series coefficient and a sign bit, so no
-    # biased digit carries.
-    hmax = IntPoly(map(max, *[map(abs, s) for h in heads for s in h]))
-    tmax = IntPoly(map(max, *[map(abs, s) for t in tails for s in t]))
-    bound = max([0, *(hmax * tmax).coeffs, *hmax.coeffs, *tmax.coeffs])
+    # Digits of `width` bytes hold every coefficient of every series and
+    # product and a sign bit, so no biased digit carries.
+    bound = _product_bound(
+        [s for h in heads for s in h], [s for t in tails for s in t], slot
+    )
     width = (bound.bit_length() + 8) // 8
     pad = [0] * limit
     bias = _top_bits(slot * len(tails), width)
@@ -496,6 +531,43 @@ def _prefix_survivors(
         # each byte of flags is 0x80 (both products pass) or 0
         flags = column.to_bytes(len(tails), "little")
         yield list(compress(range(len(tails)), flags))
+
+
+def _first_step_rule(
+    heads: Sequence[Sequence[int]], tails: Sequence[Sequence[int]], reach: int
+) -> Callable[[int, int, int], list[int]]:
+    """The rule that gives x^0 .. x^limit, for any limit up to `reach`, of
+    the product of head series a and tail series b; every series lists
+    reach + 1 coefficients.
+
+    The product is (head mod B^n) * (tail mod B^n) mod B^n with n =
+    limit + 1, read back as signed digits, since Z[x] mod x^n maps onto
+    Z mod B^n as a ring at x = B.  Its digits hold `_product_bound` of the
+    series to x^reach and a sign bit, so no coefficient overflows.  Each
+    series is packed once, the first time a product needs it.
+    """
+    bound = _product_bound(heads, tails, reach + 1)
+    width = _digit_width(bound.bit_length() + 1)
+    digit = 8 * width
+    packed_heads: list[Optional[int]] = [None] * len(heads)
+    packed_tails: list[Optional[int]] = [None] * len(tails)
+
+    def product(a: int, b: int, limit: int) -> list[int]:
+        head, tail = packed_heads[a], packed_tails[b]
+        if head is None:
+            head = packed_heads[a] = _pack(heads[a], width, True)
+        if tail is None:
+            tail = packed_tails[b] = _pack(tails[b], width, True)
+        bits = digit * (limit + 1)
+        mask = (1 << bits) - 1
+        value = (head & mask) * (tail & mask) & mask
+        # The digits fit as signed, so the top bit is set exactly when the
+        # value at x = B is negative.
+        if value >> (bits - 1):
+            value -= 1 << bits
+        return unpack_digits(value, limit + 1, width, True)
+
+    return product
 
 
 def _halves(
@@ -527,10 +599,17 @@ def _halves(
     divs = sorted(d for slots, _ in axes for d in slots)
     ks = [1, *divs]  # every k that divides some d in divs
 
+    mobius = {d: mobius_exponents(d) for d in divs}
+
     def row(slots: Sequence[int], exps: Sequence[int]) -> list[int]:
-        vector = dict(zip(slots, exps))
-        net = net_exponents(ExponentVector.from_dict(vector))
-        return [*(net.get(k, 0) for k in ks), *(vector.get(d, 0) for d in divs)]
+        # E_k sums c_d * mobius(d/k), as in `net_exponents`
+        net = dict.fromkeys(ks, 0)
+        vector = dict.fromkeys(divs, 0)
+        for d, c in zip(slots, exps):
+            vector[d] = c
+            for k, mu in mobius[d]:
+                net[k] += c * mu
+        return [*net.values(), *vector.values()]
 
     rows = [[row(slots, exps) for exps in options] for slots, options in axes]
     # Each head and each tail is expanded once, so the axes are cut where
@@ -574,16 +653,26 @@ def _enumerate(
         return ExponentVector(tuple([*zip(divs, row[len(ks):])]))
 
     limit = _prefix_limit(face_counts)
-    heads = _prefix_pairs(ks, head, head_full, limit, symmetric)
+    # `_expand_side` starts a body of half degree h at x^h if h is at most
+    # 4 * PREFILTER_DEGREE, else at x^(2 * PREFILTER_DEGREE), and a left
+    # body's degree is its head row's plus its tail row's.  So each left
+    # series is expanded once, to `reach`, past every split's first limit,
+    # and the mask reads it to x^L.
+    largest = [
+        max([sum(map(mul, ks, row)) for row in rows], default=0)
+        for rows in (head, tail)
+    ]
+    reach = max(limit, min(4 * PREFILTER_DEGREE, sum(largest) // 2))
+    heads = _prefix_pairs(ks, head, head_full, limit, symmetric, reach)
+    tails = _prefix_pairs(ks, tail, tail_full, limit, symmetric, reach)
+    first_step = _first_step_rule([s for s, _ in heads], [s for s, _ in tails], reach)
     if symmetric:
         # With equal face counts a split and its complement give the same
         # pair once sorted, and the complement of split (i, j) is split
         # (H - 1 - i, T - 1 - j) (see `_halves`), so the mask takes the first
         # half of the heads and, of a middle head, the first half of the tails.
         heads = heads[: (len(head) + 1) // 2]
-    survivors = _prefix_survivors(
-        heads, _prefix_pairs(ks, tail, tail_full, limit, symmetric), limit
-    )
+    survivors = _prefix_survivors(heads, tails, limit)
 
     found: list[SolutionPair] = []
     for i, (head_row, passed) in enumerate(zip(head, survivors)):
@@ -592,10 +681,15 @@ def _enumerate(
         for j in passed:
             left_row = list(map(add, head_row, tail[j]))
             right_row = list(map(sub, total, left_row))
+            indices = (i, j)
             # Of a split and its complement, the smaller row is the left one.
             if symmetric and left_row > right_row:
                 left_row, right_row = right_row, left_row
-            left_coeffs, _ = _expand_side({k: e for k, e in zip(ks, left_row) if e})
+                indices = (len(head) - 1 - i, len(tail) - 1 - j)
+            left_coeffs, _ = _expand_side(
+                {k: e for k, e in zip(ks, left_row) if e},
+                partial(first_step, *indices),
+            )
             if left_coeffs is None:
                 continue
             try:

@@ -257,6 +257,32 @@ def test_solve_1254_is_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "run, count, digest",
+    [
+        (
+            lambda: enumerate_mixed(60, 72),
+            1103,
+            "7f1d9045a885aaae82ed0d20dc1d135e5a43fef1f5c79396124a167d316f91b4",
+        ),
+        (
+            lambda: enumerate_unequal(72, 48, 108),
+            490,
+            "a965d04070b733b65e05e9a53f00cbadf598accd2de839c96dcabb2225aa93ef",
+        ),
+    ],
+    ids=["mixed-60-72", "unequal-72-48x108"],
+)
+def test_non_symmetric_enumerations_are_pinned(run, count, digest):
+    # the path without the complement swap, where each head and tail keeps
+    # its own right series; recorded before the first expansion step became
+    # one product of a head and a tail series
+    pairs = run()
+    assert len(pairs) == count
+    text = repr([(p.labels, p.left.vector, p.right.vector) for p in pairs])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_search_cap_is_checked_before_any_split_is_built(monkeypatch):
     # 2^15 has 15 prime-power slots of multiplicity 2, whose 1787607
     # compositions of 15 took seconds and hundreds of MB to build
@@ -590,7 +616,9 @@ def test_expansion_limits_skip_a_limit_that_half_would_repeat(monkeypatch, limit
     nets = []
     expand_side = solver._expand_side
     monkeypatch.setattr(
-        solver, "_expand_side", lambda net: nets.append(net) or expand_side(net)
+        solver,
+        "_expand_side",
+        lambda net, *first: nets.append(net) or expand_side(net, *first),
     )
     enumerate_pairs(m)
     assert nets
@@ -646,8 +674,8 @@ def test_prefix_mask_matches_expand_side(name):
     total = [a + b for a, b in zip(head_full, tail_full)]
     symmetric = face_counts[0] == face_counts[1]
     masks = solver._prefix_survivors(
-        solver._prefix_pairs(ks, head, head_full, limit, symmetric),
-        solver._prefix_pairs(ks, tail, tail_full, limit, symmetric),
+        solver._prefix_pairs(ks, head, head_full, limit, symmetric, limit),
+        solver._prefix_pairs(ks, tail, tail_full, limit, symmetric, limit),
         limit,
     )
     for h, passed in zip(head, masks, strict=True):
@@ -682,8 +710,8 @@ def masked_splits(sizes, face_counts):
     symmetric = face_counts[0] == face_counts[1]
     total = [a + b for a, b in zip(head_full, tail_full)]
     masks = solver._prefix_survivors(
-        solver._prefix_pairs(ks, head, head_full, limit, symmetric),
-        solver._prefix_pairs(ks, tail, tail_full, limit, symmetric),
+        solver._prefix_pairs(ks, head, head_full, limit, symmetric, limit),
+        solver._prefix_pairs(ks, tail, tail_full, limit, symmetric, limit),
         limit,
     )
     nets = []
@@ -698,7 +726,8 @@ def masked_splits(sizes, face_counts):
 @pytest.fixture
 def enumeration_calls(monkeypatch):
     """The heads each `_prefix_survivors` call gets and the net exponents of
-    each side `_expand_side` expands, recorded as `_enumerate` calls them."""
+    each side `_expand_side` expands, recorded as `_enumerate` calls them,
+    with the first step it hands over."""
     calls = {"heads": [], "nets": collections.Counter()}
     survivors, expand_side = solver._prefix_survivors, solver._expand_side
 
@@ -706,9 +735,9 @@ def enumeration_calls(monkeypatch):
         calls["heads"].append(len(heads))
         return survivors(heads, tails, limit)
 
-    def recorded_expand_side(net):
+    def recorded_expand_side(net, first=None):
         calls["nets"][tuple(net.items())] += 1
-        return expand_side(net)
+        return expand_side(net, first)
 
     monkeypatch.setattr(solver, "_prefix_survivors", recorded_survivors)
     monkeypatch.setattr(solver, "_expand_side", recorded_expand_side)
@@ -773,6 +802,112 @@ def test_prefix_mask_matches_direct_products(data):
         for left, right in heads
     ]
     assert list(solver._prefix_survivors(heads, tails, limit)) == want
+
+
+def test_prefix_mask_reads_only_its_limit():
+    # the enumeration hands the mask series that run past its limit; only
+    # x^0 .. x^limit of each is read
+    short = [([1, -1, 0], [1, 0, -1]), ([1, 1, 1], [1, 2, 1])]
+    longer = [(left + [-9, 5], right + [7]) for left, right in short]
+    want = list(solver._prefix_survivors(short, short, 2))
+    assert list(solver._prefix_survivors(longer, longer, 2)) == want
+
+
+# -- the first expansion step, as one product of a head and a tail series -----
+
+
+def first_limit(net):
+    """The limit `_expand_side` starts at: half the body's degree when twice
+    2 * PREFILTER_DEGREE reaches it, else 2 * PREFILTER_DEGREE."""
+    half = sum(k * e for k, e in net.items()) // 2
+    start = 2 * solver.PREFILTER_DEGREE
+    return half if 2 * start >= half else start
+
+
+@pytest.fixture
+def first_steps(monkeypatch):
+    """Every left side `_enumerate` decides, as (net exponents, the first
+    step's coefficients it hands to `_expand_side`), checked against the
+    kernel on the way: the verdict and the first-negative witness follow."""
+    seen = []
+    expand_side = solver._expand_side
+
+    def checked(net, first=None):
+        assert first is not None, net
+        limit = first_limit(net)
+        lower = first(limit)
+        assert lower == one_minus_x_product(net, limit), (net, limit)
+        seen.append((dict(net), lower))
+        return expand_side(net, first)
+
+    monkeypatch.setattr(solver, "_expand_side", checked)
+    return seen
+
+
+FIRST_STEP_PROBLEMS = [
+    *[equal(m) for m in [*range(1, 61), 72, 96]],
+    *[
+        problem
+        for problem in {**MASK_PROBLEMS, **NET_EXPONENT_PROBLEMS}.values()
+        if problem[1][0] != problem[1][1]
+    ],
+]
+
+
+@pytest.mark.parametrize("problem", FIRST_STEP_PROBLEMS, ids=str)
+def test_first_step_products_match_the_kernel(first_steps, problem):
+    # for every split that passes the mask, the one packed product of its
+    # head and tail series gives exactly what one_minus_x_product gives for
+    # its left net exponents at the first limit, term by term
+    pairs = solver._enumerate(*problem, None)
+    assert len(first_steps) >= len(pairs) > 0
+
+
+@pytest.mark.parametrize("length, want_width", [(127, 1), (128, 2)])
+def test_first_step_holds_a_coefficient_at_its_bound(monkeypatch, length, want_width):
+    # all-ones series: hmax and tmax are all ones, so the bound is the
+    # length, and the last coefficient of each product is +-length, the
+    # bound itself.  127 and a sign bit fit 1-byte digits; 128 does not.
+    widths = []
+    pack = solver._pack
+
+    def recorded_pack(coeffs, width, signed):
+        widths.append(width)
+        return pack(coeffs, width, signed)
+
+    monkeypatch.setattr(solver, "_pack", recorded_pack)
+    ones = [1] * length
+    rule = solver._first_step_rule([ones, [-c for c in ones]], [ones], length - 1)
+    for limit in (0, 1, 63, length - 2, length - 1):
+        assert rule(0, 0, limit) == list(range(1, limit + 2))
+        assert rule(1, 0, limit) == [-c for c in range(1, limit + 2)]
+    assert set(widths) == {want_width}
+
+
+@given(st.data())
+def test_first_step_matches_direct_products(data):
+    # small random series, zero constant terms included, against each
+    # truncated product expanded directly
+    length = data.draw(st.integers(1, 8))
+    series = st.lists(st.integers(-40, 40), min_size=length, max_size=length)
+    heads = data.draw(st.lists(series, min_size=1, max_size=4))
+    tails = data.draw(st.lists(series, min_size=1, max_size=4))
+    rule = solver._first_step_rule(heads, tails, length - 1)
+    for limit in range(length):
+        for a, h in enumerate(heads):
+            for b, t in enumerate(tails):
+                want = [
+                    sum(h[j] * t[i - j] for j in range(i + 1)) for i in range(limit + 1)
+                ]
+                assert rule(a, b, limit) == want
+
+
+def test_first_step_saves_the_kernel_calls_at_96(limits):
+    # each head and tail series is expanded once, past every first limit, so
+    # no split of 96 calls the kernel for its first step; the parent of this
+    # rule made 1,209 calls
+    enumerate_pairs(96)
+    assert len(limits) <= 450
 
 
 def test_case_vectors_need_four_exponents():
@@ -849,8 +984,8 @@ def test_product_check_rejects_a_wrong_side(monkeypatch, change, problem):
     # cannot pass, whichever rule takes the right side
     expand_side = solver._expand_side
 
-    def wrong_side(net):
-        coeffs, witness = expand_side(net)
+    def wrong_side(net, first=None):
+        coeffs, witness = expand_side(net, first)
         return (None if coeffs is None else change(coeffs)), witness
 
     monkeypatch.setattr(solver, "_expand_side", wrong_side)
