@@ -26,8 +26,9 @@ expansion step needs, below, and the right one as far as the mask reads.
 Up to x^L, where L is PREFILTER_DEGREE or less for small dice, every split
 is decided at once (`_prefix_survivors`): each tail's two series are read
 to x^L and packed as one slot of 2L + 1 digits, and each head takes one
-big-integer product per side (Kronecker substitution).  The digit width comes from a bound proven by the triangle
-inequality, with a bias that leaves a digit's top bit set exactly when its
+big-integer product per side (Kronecker substitution).  The digit width
+comes from a bound proven by the triangle inequality (`_product_bound`),
+with a bias that leaves a digit's top bit set exactly when its
 coefficient is nonnegative.  Since -E_1 is the linear coefficient and L is
 at least 1, this rejects every split with E_1 > 0 on either side.  When
 both dice have the same face count, a split and its complement give the
